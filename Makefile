@@ -1,4 +1,4 @@
-.PHONY: all build test check lint-compare bench-solver bench-portfolio bench-journal bench-server bench-reopt doc clean
+.PHONY: all build test check lint-compare bench-solver bench-portfolio bench-journal bench-server bench-reopt perfbench-smoke doc clean
 
 all: build
 
@@ -62,6 +62,14 @@ bench-reopt:
 	dune exec bench/bench_reopt.exe -- --min-speedup 2 --min-e2e-speedup 5 --out BENCH_9.json
 	@grep -q '"identical": true' BENCH_9.json
 	@echo "bench-reopt: OK (BENCH_9.json)"
+
+# Repository benchmark at smoke sizes (perfbench/README.md): every
+# workload runs untraced and traced, its metric names and units match
+# BENCHMARK.json, and every world's output matches perfbench/digests.tsv
+# (placements, round counts, CSV rows), so a change that moves a k=4
+# placement fails here.  About a minute.
+perfbench-smoke:
+	python3 perfbench/test_smoke.py
 
 # Tier-1 gate plus smoke-checks that the observability and fault flags
 # are wired into the CLI (docs/OBSERVABILITY.md, docs/FAULTS.md), that a

@@ -120,6 +120,7 @@ type builder = {
   mutable tor_aggs : tor_agg option array;  (* by ToR switch id *)
   mutable tor_stamp : int array;  (* dedupe per-round ToR recomputes *)
   mutable stamp : int;
+  upsilon_memo : Locality.Memo.t;  (* Υ per switch, keyed by locality context *)
   (* Stats. *)
   mutable builds : int;
   mutable full_rebuilds : int;
@@ -152,6 +153,7 @@ let create_builder ?(reopt = false) () =
     tor_aggs = [||];
     tor_stamp = [||];
     stamp = 0;
+    upsilon_memo = Locality.Memo.create ();
     builds = 0;
     full_rebuilds = 0;
     last_full = true;
@@ -225,26 +227,30 @@ let stats t =
     full_rebuilds = t.b.full_rebuilds;
   }
 
-(* Locality context of one task group: inputs of Φloc. *)
+(* Locality context of one task group: inputs of Φloc.  It depends on
+   the related groups only as a multiset (every use sums counts or
+   sorts), so groups with the same related set share one context in a
+   round, and with it the Υ memo entries under [memo_key]. *)
 type loc_ctx = {
   related_placed : bool;
   server_weight : float;
   group_size : int;
   related : int list;
   gain : Locality.Gain.t;
+  memo_key : int;
 }
 
-let neutral_ctx view census ~(params : Cost_model.params) =
+let neutral_ctx b view census ~(params : Cost_model.params) =
   {
     related_placed = false;
     server_weight = 0.5;
     group_size = 1;
     related = [];
     gain = Locality.Gain.compute view.View.topo census ~related:[] ~gamma:params.gamma ~xi:params.xi;
+    memo_key = Locality.Memo.fresh b.upsilon_memo;
   }
 
-and loc_ctx (view : View.t) census ~(params : Cost_model.params) (ts : Pending.tg_state) =
-  let related = ts.tg.Poly_req.tg_id :: ts.tg.Poly_req.connected in
+let loc_ctx b (view : View.t) census ~(params : Cost_model.params) related =
   let group_size =
     List.fold_left (fun acc id -> acc + Locality.Task_census.total census ~tg_id:id) 0 related
   in
@@ -259,22 +265,33 @@ and loc_ctx (view : View.t) census ~(params : Cost_model.params) (ts : Pending.t
       (0, 0) related
   in
   let total_placed = on_servers + on_switches in
+  let related_placed = total_placed > 0 in
   {
-    related_placed = total_placed > 0;
+    related_placed;
     server_weight =
       (if total_placed = 0 then 0.5
        else float_of_int on_servers /. float_of_int total_placed);
     group_size = max 1 group_size;
     related;
-    gain = Locality.Gain.compute view.topo census ~related ~gamma:params.gamma ~xi:params.xi;
+    (* Γ only enters Φloc once something related is placed. *)
+    gain =
+      Locality.Gain.compute view.topo census
+        ~related:(if related_placed then related else [])
+        ~gamma:params.gamma ~xi:params.xi;
+    memo_key = Locality.Memo.fresh b.upsilon_memo;
   }
 
-let phi_loc_at (view : View.t) census ctx node =
-  let upsilon =
-    Locality.upsilon view.topo census ~tg_ids:ctx.related ~node ~group_size:ctx.group_size
+(* Φloc ignores Υ and Γ until something related is placed, so neither
+   is computed before then. *)
+let phi_loc_at b (view : View.t) census ctx node =
+  let upsilon, gamma_norm =
+    if not ctx.related_placed then (1.0, 0.0)
+    else
+      ( Locality.upsilon ~memo:b.upsilon_memo ~key:ctx.memo_key view.topo census
+          ~tg_ids:ctx.related ~node ~group_size:ctx.group_size,
+        Locality.Gain.normalized ctx.gain node )
   in
-  Cost_model.phi_loc ~related_placed:ctx.related_placed ~upsilon
-    ~gamma_norm:(Locality.Gain.normalized ctx.gain node)
+  Cost_model.phi_loc ~related_placed:ctx.related_placed ~upsilon ~gamma_norm
     ~server_weight:ctx.server_weight
 
 (* ------------------------------------------------------------------ *)
@@ -287,12 +304,20 @@ type shortcut = {
   cost : int;
 }
 
+(* Keep the [max_shortcuts] cheapest candidates, cheapest first.  The
+   tie order of [Array.sort] (an unstable heapsort) is part of the
+   placement contract: it decides which of several equal-cost arcs
+   survive the cut and in what order they enter the graph, and so which
+   augmenting paths the solver finds.  perfbench/digests.tsv pins the
+   resulting placements.  A bounded top-k selection would be cheaper,
+   but it breaks ties differently, so adopting one means recording the
+   digests again and accepting different (equally cheap) placements. *)
 let trim_shortcuts ~(params : Cost_model.params) candidates =
   let arr = Array.of_list candidates in
   Array.sort (fun a b -> Int.compare a.cost b.cost) arr;
   Array.to_list (Array.sub arr 0 (min (Array.length arr) params.max_shortcuts))
 
-let server_shortcuts (view : View.t) census (tor_aggs : tor_agg option array) ~params ~ctx
+let server_shortcuts b (view : View.t) census (tor_aggs : tor_agg option array) ~params ~ctx
     ~phi_prio (ts : Pending.tg_state) =
   let topo = view.topo in
   let demand = ts.tg.Poly_req.demand in
@@ -306,7 +331,7 @@ let server_shortcuts (view : View.t) census (tor_aggs : tor_agg option array) ~p
             (* Every server under this ToR fits: one aggregate edge. *)
             let cost =
               Cost_model.gs_shortcut ~demand ~available:agg.max_avail
-                ~phi_loc:(phi_loc_at view census ctx tor)
+                ~phi_loc:(phi_loc_at b view census ctx tor)
                 ~phi_prio params
             in
             candidates :=
@@ -320,7 +345,7 @@ let server_shortcuts (view : View.t) census (tor_aggs : tor_agg option array) ~p
                 if view.View.alive s && Vec.fits ~demand ~available then begin
                   let cost =
                     Cost_model.gs_shortcut ~demand ~available
-                      ~phi_loc:(phi_loc_at view census ctx s)
+                      ~phi_loc:(phi_loc_at b view census ctx s)
                       ~phi_prio params
                   in
                   candidates := { target = `Server s; cap = 1; cost } :: !candidates
@@ -329,7 +354,7 @@ let server_shortcuts (view : View.t) census (tor_aggs : tor_agg option array) ~p
     (Fat_tree.tor_switches topo);
   trim_shortcuts ~params !candidates
 
-let network_shortcuts (view : View.t) census ~(params : Cost_model.params) ~ctx ~phi_prio
+let network_shortcuts b (view : View.t) census ~(params : Cost_model.params) ~ctx ~phi_prio
     (ts : Pending.tg_state) (ninfo : Poly_req.network_info) =
   let topo = view.topo in
   let sharing = view.sharing in
@@ -360,7 +385,7 @@ let network_shortcuts (view : View.t) census ~(params : Cost_model.params) ~ctx 
           Sharing.effective_demand sharing ~switch:s ~service ~per_switch ~per_instance
         in
         let available = Sharing.available sharing s in
-        let n_supported = List.length (Sharing.supported_services sharing s) in
+        let n_supported = Sharing.n_supported sharing s in
         let phi_new =
           if params.sharing_aware then
             Cost_model.phi_new
@@ -372,7 +397,7 @@ let network_shortcuts (view : View.t) census ~(params : Cost_model.params) ~ctx 
         let cost =
           Cost_model.gn_shortcut ~demand:effective ~available
             ~capacity:(Sharing.capacity sharing)
-            ~phi_loc:(phi_loc_at view census ctx s)
+            ~phi_loc:(phi_loc_at b view census ctx s)
             ~phi_new ~phi_prio params
         in
         candidates := { target = `Switch s; cap = 1; cost } :: !candidates
@@ -391,7 +416,7 @@ let mn_cost (view : View.t) s (params : Cost_model.params) =
     ~phi_floor:
       (Cost_model.phi_floor_p
          ~active:(Sharing.n_active view.sharing s)
-         ~max_possible:(List.length (Sharing.supported_services view.sharing s)))
+         ~max_possible:(Sharing.n_supported view.sharing s))
     params
 
 (* Rebuild the topology prefix from scratch: sink, machine nodes for
@@ -430,7 +455,7 @@ let build_prefix b (view : View.t) ~big ~(params : Cost_model.params) mk =
     (Fat_tree.switches topo);
   Array.iter
     (fun s ->
-      if view.View.alive s && Sharing.supported_services view.sharing s <> [] then begin
+      if view.View.alive s && Sharing.n_supported view.sharing s > 0 then begin
         let v = mk (Machine_inc s) in
         b.mn_node.(s) <- v;
         ignore (Graph.add_arc g ~src:b.nn_node.(s) ~dst:v ~cap:1 ~cost:0);
@@ -591,6 +616,23 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
   in
 
   (* --- job, group, postpone, flavor nodes --- *)
+  let neutral = neutral_ctx b view census ~params in
+  (* Connections never leave a job, so each job's groups are the only
+     ones that can share a related set: the cache lives per job, which
+     keeps a long queue from holding every context until the round
+     ends. *)
+  let ctx_of ctxs (tg : Poly_req.task_group) =
+    if not params.locality_aware then neutral
+    else begin
+      let related = List.sort Int.compare (tg.tg_id :: tg.connected) in
+      match List.find_opt (fun (r, _) -> List.equal Int.equal r related) !ctxs with
+      | Some (_, ctx) -> ctx
+      | None ->
+          let ctx = loc_ctx b view census ~params related in
+          ctxs := (related, ctx) :: !ctxs;
+          ctx
+    end
+  in
   let cheapest_shortcut = Int_tbl.create 64 in
   let flavor_jobs = ref [] in
   List.iter
@@ -600,20 +642,18 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
       let p_cap = ref 0 in
       let phi_prio = Cost_model.phi_prio job.poly.Poly_req.priority in
       let undecided_here = ref [] in
+      let ctxs = ref [] in
       List.iter
         (fun (ts : Pending.tg_state) ->
           let tg = ts.tg in
           let gnode = mk (Group tg.Poly_req.tg_id) in
-          let ctx =
-            if params.locality_aware then loc_ctx view census ~params ts
-            else neutral_ctx view census ~params
-          in
+          let ctx = ctx_of ctxs tg in
           let shortcuts =
             match tg.Poly_req.kind with
             | Poly_req.Server_tg ->
-                server_shortcuts view census tor_aggs ~params ~ctx ~phi_prio ts
+                server_shortcuts b view census tor_aggs ~params ~ctx ~phi_prio ts
             | Poly_req.Network_tg ninfo ->
-                network_shortcuts view census ~params ~ctx ~phi_prio ts ninfo
+                network_shortcuts b view census ~params ~ctx ~phi_prio ts ninfo
           in
           (match shortcuts with
           | [] -> ()

@@ -124,7 +124,27 @@ module Task_census = struct
     ()
 end
 
-let upsilon topo census ~tg_ids ~node ~group_size =
+module Memo = struct
+  (* Stamped per-node arrays: [value.(n)] holds Υ's unclamped subtree
+     average at switch [n] for context [seen.(n)].  Keys are never
+     reused, so an entry can only ever be read back under the context
+     that wrote it. *)
+  type t = { mutable next : int; mutable seen : int array; mutable value : float array }
+
+  let create () = { next = 0; seen = [||]; value = [||] }
+
+  let fresh t =
+    t.next <- t.next + 1;
+    t.next
+
+  let ensure t n =
+    if Array.length t.seen <> n then begin
+      t.seen <- Array.make n 0;
+      t.value <- Array.make n 0.0
+    end
+end
+
+let upsilon ~memo ~key topo census ~tg_ids ~node ~group_size =
   if group_size <= 0 then 1.0
   else begin
     let total_related tg_node =
@@ -133,11 +153,14 @@ let upsilon topo census ~tg_ids ~node ~group_size =
         0 tg_ids
     in
     let gs = float_of_int group_size in
+    let server_term n = float_of_int (max 0 (group_size - total_related n)) /. gs in
     (* Recursive Eq. 6: average over children of "related tasks missing
-       from that child's subtree". *)
+       from that child's subtree".  A subtree holding no related task
+       scores exactly 1.0 (every leaf is gs/gs, and n copies of 1.0
+       average to 1.0), so it is not walked.  Children are folded left
+       to right, so memoised and fresh values are the same floats. *)
     let rec go n =
-      if Fat_tree.is_server topo n then
-        Float.min 1.0 (float_of_int (max 0 (group_size - total_related n)) /. gs)
+      if total_related n = 0 then 1.0
       else begin
         match Fat_tree.children topo n with
         | [] -> 1.0
@@ -145,17 +168,25 @@ let upsilon topo census ~tg_ids ~node ~group_size =
             let sum =
               List.fold_left
                 (fun acc kid ->
-                  acc
-                  +.
-                  if Fat_tree.is_server topo kid then
-                    float_of_int (max 0 (group_size - total_related kid)) /. gs
-                  else go kid)
+                  acc +. if Fat_tree.is_server topo kid then server_term kid else switch kid)
                 0.0 kids
             in
             sum /. float_of_int (List.length kids)
       end
+    and switch n =
+      if memo.Memo.seen.(n) = key then memo.Memo.value.(n)
+      else begin
+        let v = go n in
+        memo.Memo.seen.(n) <- key;
+        memo.Memo.value.(n) <- v;
+        v
+      end
     in
-    Float.max 0.0 (Float.min 1.0 (go node))
+    if Fat_tree.is_server topo node then Float.min 1.0 (server_term node)
+    else begin
+      Memo.ensure memo (Fat_tree.node_count topo);
+      Float.max 0.0 (Float.min 1.0 (switch node))
+    end
   end
 
 module Gain = struct
@@ -182,16 +213,24 @@ module Gain = struct
       g := !g / xi
     done
 
+  (* Every source-less result shares this one (empty, never written)
+     table, so a round that keeps many such results alive keeps no
+     tables for them. *)
+  let empty = { table = Int_tbl.create 1; max_gain = 0 }
+
   let compute topo census ~related ~gamma ~xi =
     if xi <= 1 then invalid_arg "Gain.compute: xi must be > 1";
-    let table = Int_tbl.create 64 in
     let sources =
       List.concat_map (fun tg_id -> Task_census.switches census ~tg_id) related
       |> List.sort_uniq Int.compare
     in
-    List.iter (fun s -> inc_loc_prop topo table ~start:s ~gamma ~xi) sources;
-    let max_gain = Int_tbl.fold (fun _ v acc -> max v acc) table 0 in
-    { table; max_gain }
+    match sources with
+    | [] -> empty
+    | _ ->
+        let table = Int_tbl.create 64 in
+        List.iter (fun s -> inc_loc_prop topo table ~start:s ~gamma ~xi) sources;
+        let max_gain = Int_tbl.fold (fun _ v acc -> max v acc) table 0 in
+        { table; max_gain }
 
   let at t node = match Int_tbl.find_opt t.table node with Some v -> v | None -> 0
 

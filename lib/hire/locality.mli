@@ -50,14 +50,36 @@ module Task_census : sig
   val decode_state : t -> Prelude.Codec.Dec.t -> unit
 end
 
+(** Memo of Υ per switch, shared by the {!upsilon} calls of one
+    context (the same census, related groups and group size).  [fresh]
+    issues a new context key; a value memoised under one key is never
+    returned under another, so callers may interleave contexts by
+    keeping each one's key.  The census must not change while a key is
+    in use. *)
+module Memo : sig
+  type t
+
+  val create : unit -> t
+  val fresh : t -> int
+end
+
 (** [upsilon topo census ~tg_ids ~node ~group_size] computes Υ for the
     union of the given (related) task groups at a switch [node],
     normalized to [\[0,1\]] by [group_size] (so 1 = no related task in any
     child subtree, 0 = all of them under every child).  For a server
     [node] it degrades to the fraction of related tasks not on that
-    server. *)
+    server.  Switch subtrees already scored under [key] in [memo] are
+    not walked again; memoised values are bit-identical to a fresh
+    walk. *)
 val upsilon :
-  Fat_tree.t -> Task_census.t -> tg_ids:int list -> node:int -> group_size:int -> float
+  memo:Memo.t ->
+  key:int ->
+  Fat_tree.t ->
+  Task_census.t ->
+  tg_ids:int list ->
+  node:int ->
+  group_size:int ->
+  float
 
 (** INC-locality gains (Alg. 1). *)
 module Gain : sig

@@ -5,6 +5,7 @@ module Int_tbl = Prelude.Int_tbl
 type sw_state = {
   avail : Vec.t;  (* mutated in place *)
   supported : (string, unit) Hashtbl.t;
+  n_supported : int;  (* size of [supported], which never changes *)
   counts : (string, int) Hashtbl.t;  (* running instances per service *)
   registered : (string, Vec.t) Hashtbl.t;  (* per-switch part currently charged *)
   mutable alive : bool;  (* fault injection: dead switches host nothing *)
@@ -23,6 +24,7 @@ let create ~topo ~capacity ~supported =
         {
           avail = Vec.copy capacity;
           supported = sup;
+          n_supported = Hashtbl.length sup;
           counts = Hashtbl.create 4;
           registered = Hashtbl.create 4;
           alive = true;
@@ -53,11 +55,14 @@ let supported_services t switch =
   Hashtbl.fold (fun k () acc -> k :: acc) (state t switch).supported []
   |> List.sort String.compare
 
+let n_supported t switch = (state t switch).n_supported
+
 let active_services t switch =
   Hashtbl.fold (fun k c acc -> if c > 0 then k :: acc else acc) (state t switch).counts []
   |> List.sort String.compare
 
-let n_active t switch = List.length (active_services t switch)
+let n_active t switch =
+  Hashtbl.fold (fun _ c acc -> if c > 0 then acc + 1 else acc) (state t switch).counts 0
 
 let instances t ~switch ~service =
   match Hashtbl.find_opt (state t switch).counts service with Some c -> c | None -> 0

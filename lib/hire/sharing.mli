@@ -37,6 +37,9 @@ val supports : t -> switch:int -> service:string -> bool
     inventories stay stable under fault injection. *)
 val supported_services : t -> int -> string list
 
+(** [List.length (supported_services t s)], stored at {!create}. *)
+val n_supported : t -> int -> int
+
 (** Fault injection: liveness flag of a switch (default alive). *)
 val is_alive : t -> int -> bool
 

@@ -570,10 +570,98 @@ let test_upsilon_prefers_colocated_subtree () =
   let tor_near = Fat_tree.tor_of_server topo s0 in
   let tor_far = (Fat_tree.tor_switches topo).(7) in
   Locality.Task_census.add census ~tg_id:1 ~machine:s0;
-  let near = Locality.upsilon topo census ~tg_ids:[ 1 ] ~node:tor_near ~group_size:1 in
-  let far = Locality.upsilon topo census ~tg_ids:[ 1 ] ~node:tor_far ~group_size:1 in
+  let memo = Locality.Memo.create () in
+  let key = Locality.Memo.fresh memo in
+  let near = Locality.upsilon ~memo ~key topo census ~tg_ids:[ 1 ] ~node:tor_near ~group_size:1 in
+  let far = Locality.upsilon ~memo ~key topo census ~tg_ids:[ 1 ] ~node:tor_far ~group_size:1 in
   Alcotest.(check bool) "near subtree scores better (lower)" true (near < far);
   Alcotest.(check (float 1e-9)) "far subtree has nothing" 1.0 far
+
+(* Reference Υ: the plain recursive walk of Eq. 6, with no memo and no
+   skipping of empty subtrees.  [Locality.upsilon] must match it bit for
+   bit, because shortcut costs are rounded from it and placements
+   depend on their order. *)
+let naive_upsilon topo census ~tg_ids ~node ~group_size =
+  if group_size <= 0 then 1.0
+  else begin
+    let total_related n =
+      List.fold_left
+        (fun acc tg_id -> acc + Locality.Task_census.count_under census ~tg_id ~node:n)
+        0 tg_ids
+    in
+    let gs = float_of_int group_size in
+    let rec go n =
+      if Fat_tree.is_server topo n then
+        Float.min 1.0 (float_of_int (max 0 (group_size - total_related n)) /. gs)
+      else begin
+        match Fat_tree.children topo n with
+        | [] -> 1.0
+        | kids ->
+            let sum =
+              List.fold_left
+                (fun acc kid ->
+                  acc
+                  +.
+                  if Fat_tree.is_server topo kid then
+                    float_of_int (max 0 (group_size - total_related kid)) /. gs
+                  else go kid)
+                0.0 kids
+            in
+            sum /. float_of_int (List.length kids)
+      end
+    in
+    Float.max 0.0 (Float.min 1.0 (go node))
+  end
+
+(* Random censuses on k ∈ {4,6,8}: tasks of groups 1..4 on any node
+   (possibly none), a related set of 1–3 ids (duplicates allowed, some
+   possibly never placed), and a group size that is 0, the related
+   total, or arbitrary.  Two contexts share one memo with interleaved
+   keys, so a stale entry read under the wrong key would show. *)
+let prop_upsilon_matches_naive =
+  let gen =
+    QCheck.Gen.(
+      let* k = oneofl [ 4; 6; 8 ] in
+      let n = Fat_tree.node_count (Fat_tree.create ~k) in
+      let* tasks = list_size (int_range 0 40) (pair (int_range 1 4) (int_range 0 (n - 1))) in
+      let related = list_size (int_range 1 3) (int_range 1 5) in
+      let* r1 = related and* r2 = related in
+      let* size_mode = int_range 0 2 and* size_any = int_range 0 60 in
+      return (k, tasks, r1, r2, size_mode, size_any))
+  in
+  let print (k, tasks, r1, r2, mode, any) =
+    let ints l = String.concat ";" (List.map string_of_int l) in
+    Printf.sprintf "k=%d tasks=[%s] r1=[%s] r2=[%s] mode=%d any=%d" k
+      (String.concat ";" (List.map (fun (g, m) -> Printf.sprintf "%d@%d" g m) tasks))
+      (ints r1) (ints r2) mode any
+  in
+  QCheck.Test.make ~name:"upsilon equals the naive walk at every node" ~count:300
+    (QCheck.make ~print gen)
+    (fun (k, tasks, r1, r2, size_mode, size_any) ->
+      let topo = Fat_tree.create ~k in
+      let census = Locality.Task_census.create topo in
+      List.iter (fun (tg_id, machine) -> Locality.Task_census.add census ~tg_id ~machine) tasks;
+      let group_size related =
+        match size_mode with
+        | 0 -> 0
+        | 1 ->
+            List.fold_left
+              (fun acc tg_id -> acc + Locality.Task_census.total census ~tg_id)
+              0 related
+        | _ -> size_any
+      in
+      let memo = Locality.Memo.create () in
+      let ctxs = List.map (fun r -> (r, group_size r, Locality.Memo.fresh memo)) [ r1; r2 ] in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      List.for_all
+        (fun node ->
+          List.for_all
+            (fun (tg_ids, group_size, key) ->
+              same
+                (naive_upsilon topo census ~tg_ids ~node ~group_size)
+                (Locality.upsilon ~memo ~key topo census ~tg_ids ~node ~group_size))
+            ctxs)
+        (List.init (Fat_tree.node_count topo) Fun.id))
 
 let test_gain_propagates_and_decays () =
   let topo = Fat_tree.create ~k:4 in
@@ -769,7 +857,8 @@ let () =
           Alcotest.test_case "upsilon" `Quick test_upsilon_prefers_colocated_subtree;
           Alcotest.test_case "gain propagation" `Quick test_gain_propagates_and_decays;
           Alcotest.test_case "gain empty" `Quick test_gain_empty_sources;
-        ] );
+        ]
+        @ qt [ prop_upsilon_matches_naive ] );
       ( "cost_model",
         [
           Alcotest.test_case "phi_pref" `Quick test_phi_pref_shape;
