@@ -32,7 +32,18 @@ let default_params =
     server_fallback_penalty = 3.5;
   }
 
-let clamp01 x = Float.max 0.0 (Float.min 1.0 x)
+(* [Float.max 0.0 (Float.min 1.0 x)] by comparisons alone: NaN stays
+   NaN and -0.0 becomes 0.0, as there, but without the C calls
+   ([sign_bit]) of [Float.min]/[Float.max]. *)
+let[@inline] clamp01 x = if x > 1.0 then 1.0 else if x > 0.0 || Float.is_nan x then x else 0.0
+
+(* [Float.max 0.0 x], likewise. *)
+let[@inline] nonneg x = if x > 0.0 || Float.is_nan x then x else 0.0
+
+(* A flattened average plus penalty, scaled to integer cost units. *)
+let[@inline] scaled avg ~penalty params =
+  let v = (clamp01 avg +. nonneg penalty) *. float_of_int params.cost_scale in
+  int_of_float (Float.round v)
 
 let flatten ?weights components ~penalty params =
   let components = Array.of_list components in
@@ -53,8 +64,7 @@ let flatten ?weights components ~penalty params =
           end
     end
   in
-  let v = (clamp01 avg +. Float.max 0.0 penalty) *. float_of_int params.cost_scale in
-  int_of_float (Float.round v)
+  scaled avg ~penalty params
 
 (* ------------------------------------------------------------------ *)
 (* Φ functions                                                        *)
@@ -120,31 +130,77 @@ let phi_xhat ~estimate ~max_estimate =
 
 let balance_inverted util = clamp01 (1.0 -. Vec.stddev util)
 
-(* avg and stddev of the demand-to-availability ratio (d ⊘ r). *)
-let demand_fit ~demand ~available =
-  let ratio = Array.map clamp01 (Vec.div demand available) in
-  (Vec.avg ratio, clamp01 (Vec.stddev ratio))
-
 let ms_to_k ~util params =
   flatten [ Vec.avg util; balance_inverted util ] ~penalty:0.0 params
 
 let mn_to_k ~util ~phi_tor ~phi_floor params =
   flatten [ Vec.avg util; balance_inverted util; phi_tor; phi_floor ] ~penalty:0.0 params
 
+(* The shortcut costs run once per candidate arc, so they are computed in
+   place, with no intermediate vectors or component lists.  Every sum is
+   the left fold from 0.0 in coordinate order that [Vec.avg],
+   [Vec.stddev] and [flatten] perform, so each cost is the same int as
+   the vector form (kept as the reference in test/test_hire_model.ml). *)
+
+let check_dims op a b =
+  if Array.length a <> Array.length b then
+    invalid_arg
+      (Printf.sprintf "Cost_model.%s: dimension mismatch (%d vs %d)" op (Array.length a)
+         (Array.length b))
+
+(* Coordinate [i] of the clamped demand-to-availability ratio (d ⊘ r),
+   with [Vec.div]'s zero-divisor rule. *)
+let[@inline] fit_ratio demand available i =
+  let r = available.(i) in
+  clamp01 (if Float.abs r < Vec.eps then 0.0 else demand.(i) /. r)
+
+(* [0.0 +. avg +. dev] of the fit ratio: the first two terms of a
+   shortcut's flatten fold, dev being the clamped population stddev.
+   The stddev's mean is the same fold as avg, so it is reused. *)
+let[@inline] fit_terms demand available =
+  let n = Array.length demand in
+  let sum = ref 0.0 in
+  for i = 0 to n - 1 do
+    sum := !sum +. fit_ratio demand available i
+  done;
+  let avg = if n = 0 then 0.0 else !sum /. float_of_int n in
+  let dev =
+    if n < 2 then 0.0
+    else begin
+      let ss = ref 0.0 in
+      for i = 0 to n - 1 do
+        let d = fit_ratio demand available i -. avg in
+        ss := !ss +. (d *. d)
+      done;
+      clamp01 (sqrt (!ss /. float_of_int n))
+    end
+  in
+  0.0 +. avg +. dev
+
 let gs_shortcut ~demand ~available ~phi_loc ~phi_prio params =
-  let fit_avg, fit_dev = demand_fit ~demand ~available in
-  flatten [ fit_avg; fit_dev; phi_loc; 1.0; phi_prio ] ~penalty:0.0 params
+  check_dims "gs_shortcut" demand available;
+  let avg = (fit_terms demand available +. phi_loc +. 1.0 +. phi_prio) /. 5.0 in
+  scaled avg ~penalty:0.0 params
 
 let gn_shortcut ~demand ~available ~capacity ~phi_loc ~phi_new ~phi_prio params =
-  let fit_avg, fit_dev = demand_fit ~demand ~available in
+  check_dims "gn_shortcut" demand available;
+  check_dims "gn_shortcut" demand capacity;
   (* Switches are the scarce resource: unlike servers (load-balanced),
      INC placements are packed best-fit — the cost grows with the
-     head-room that would remain, fighting SRAM fragmentation. *)
-  let free_after =
-    let remaining = Vec.clamp_nonneg (Vec.sub available demand) in
-    Vec.avg (Vec.div remaining capacity)
+     head-room that would remain, fighting SRAM fragmentation.  This is
+     avg (max(0, r - d) ⊘ c). *)
+  let n = Array.length demand in
+  let free = ref 0.0 in
+  for i = 0 to n - 1 do
+    let remaining = nonneg (available.(i) -. demand.(i)) in
+    let c = capacity.(i) in
+    free := !free +. if Float.abs c < Vec.eps then 0.0 else remaining /. c
+  done;
+  let free_after = if n = 0 then 0.0 else !free /. float_of_int n in
+  let avg =
+    (fit_terms demand available +. free_after +. phi_loc +. phi_new +. phi_prio) /. 6.0
   in
-  flatten [ fit_avg; fit_dev; free_after; phi_loc; phi_new; phi_prio ] ~penalty:0.0 params
+  scaled avg ~penalty:0.0 params
 
 let g_to_p ~phi_delay params = flatten [ phi_delay ] ~penalty:5.0 params
 

@@ -61,32 +61,54 @@ let decode_role packed =
 
 (* Per-ToR aggregate of server availability: the lower bound implements
    the "all resource nodes reachable via N can run at least one task"
-   rule for subtree shortcuts; the upper bound prices them. *)
-type tor_agg = { n_servers : int; min_avail : Vec.t; max_avail : Vec.t }
+   rule for subtree shortcuts; the upper bound prices them.  [servers]
+   are the ToR's alive servers in [Fat_tree.servers_under] order and
+   [avails] the availability read for each, which a mixed ToR's
+   per-server shortcuts reuse.  Like the bounds, they are recomputed
+   whenever one of the ToR's servers is dirty. *)
+type tor_agg = {
+  servers : int array;
+  avails : Vec.t array;
+  min_avail : Vec.t;
+  max_avail : Vec.t;
+}
 
 let compute_tor_agg (view : View.t) tor =
-  let topo = view.topo in
   (* Dead servers are invisible: they must not shape the aggregate
      bounds, or the ToR shortcut could admit flow the subtree cannot
      host. *)
   let servers =
-    Array.of_list (List.filter view.alive (Array.to_list (Fat_tree.servers_under topo tor)))
+    Array.of_list (List.filter view.alive (Array.to_list (Fat_tree.servers_under view.topo tor)))
   in
   if Array.length servers = 0 then None
   else begin
-    let first = view.server_available servers.(0) in
-    let min_avail = Vec.copy first and max_avail = Vec.copy first in
+    let avails = Array.map view.server_available servers in
+    let min_avail = Vec.copy avails.(0) and max_avail = Vec.copy avails.(0) in
     Array.iter
-      (fun s ->
-        let a = view.server_available s in
+      (fun a ->
         Array.iteri
           (fun i x ->
             if x < min_avail.(i) then min_avail.(i) <- x;
             if x > max_avail.(i) then max_avail.(i) <- x)
           a)
-      servers;
-    Some { n_servers = Array.length servers; min_avail; max_avail }
+      avails;
+    Some { servers; avails; min_avail; max_avail }
   end
+
+(* Elementwise max of every ToR's [max_avail], [None] when no ToR has an
+   alive server.  [Vec.fits] is monotone in the availability, so a
+   demand that does not fit this vector fits no ToR's [max_avail], and
+   so no server at all. *)
+let tor_max_avail topo (tor_aggs : tor_agg option array) =
+  Array.fold_left
+    (fun acc tor ->
+      match (tor_aggs.(tor), acc) with
+      | None, _ -> acc
+      | Some agg, None -> Some (Vec.copy agg.max_avail)
+      | Some agg, Some m ->
+          Array.iteri (fun i x -> if x > m.(i) then m.(i) <- x) agg.max_avail;
+          acc)
+    None (Fat_tree.tor_switches topo)
 
 (* ------------------------------------------------------------------ *)
 (* Persistent builder                                                 *)
@@ -254,14 +276,13 @@ let loc_ctx b (view : View.t) census ~(params : Cost_model.params) related =
   let group_size =
     List.fold_left (fun acc id -> acc + Locality.Task_census.total census ~tg_id:id) 0 related
   in
+  (* Integer sums, so the unordered fold gives the same counts. *)
   let on_servers, on_switches =
     List.fold_left
-      (fun (sv, sw) tg_id ->
-        List.fold_left
-          (fun (sv, sw) (m, c) ->
-            if Fat_tree.is_server view.topo m then (sv + c, sw) else (sv, sw + c))
-          (sv, sw)
-          (Locality.Task_census.machines census ~tg_id))
+      (fun acc tg_id ->
+        Locality.Task_census.fold_machines census ~tg_id
+          (fun m c (sv, sw) -> if Fat_tree.is_server view.topo m then (sv + c, sw) else (sv, sw + c))
+          acc)
       (0, 0) related
   in
   let total_placed = on_servers + on_switches in
@@ -284,15 +305,16 @@ let loc_ctx b (view : View.t) census ~(params : Cost_model.params) related =
 (* Φloc ignores Υ and Γ until something related is placed, so neither
    is computed before then. *)
 let phi_loc_at b (view : View.t) census ctx node =
-  let upsilon, gamma_norm =
-    if not ctx.related_placed then (1.0, 0.0)
-    else
-      ( Locality.upsilon ~memo:b.upsilon_memo ~key:ctx.memo_key view.topo census
-          ~tg_ids:ctx.related ~node ~group_size:ctx.group_size,
-        Locality.Gain.normalized ctx.gain node )
-  in
-  Cost_model.phi_loc ~related_placed:ctx.related_placed ~upsilon ~gamma_norm
-    ~server_weight:ctx.server_weight
+  if not ctx.related_placed then
+    Cost_model.phi_loc ~related_placed:false ~upsilon:1.0 ~gamma_norm:0.0
+      ~server_weight:ctx.server_weight
+  else
+    Cost_model.phi_loc ~related_placed:true
+      ~upsilon:
+        (Locality.upsilon ~memo:b.upsilon_memo ~key:ctx.memo_key view.topo census
+           ~tg_ids:ctx.related ~node ~group_size:ctx.group_size)
+      ~gamma_norm:(Locality.Gain.normalized ctx.gain node)
+      ~server_weight:ctx.server_weight
 
 (* ------------------------------------------------------------------ *)
 (* Shortcut candidates                                                *)
@@ -317,48 +339,48 @@ let trim_shortcuts ~(params : Cost_model.params) candidates =
   Array.sort (fun a b -> Int.compare a.cost b.cost) arr;
   Array.to_list (Array.sub arr 0 (min (Array.length arr) params.max_shortcuts))
 
-let server_shortcuts b (view : View.t) census (tor_aggs : tor_agg option array) ~params ~ctx
-    ~phi_prio (ts : Pending.tg_state) =
-  let topo = view.topo in
+let server_shortcuts b (view : View.t) census (tor_aggs : tor_agg option array) ~tor_max
+    ~params ~ctx ~phi_prio (ts : Pending.tg_state) =
   let demand = ts.tg.Poly_req.demand in
   let candidates = ref [] in
-  Array.iter
-    (fun tor ->
-      match tor_aggs.(tor) with
-      | None -> ()
-      | Some agg ->
-          if Vec.fits ~demand ~available:agg.min_avail then begin
-            (* Every server under this ToR fits: one aggregate edge. *)
-            let cost =
-              Cost_model.gs_shortcut ~demand ~available:agg.max_avail
-                ~phi_loc:(phi_loc_at b view census ctx tor)
-                ~phi_prio params
-            in
-            candidates :=
-              { target = `Tor tor; cap = min ts.remaining agg.n_servers; cost } :: !candidates
-          end
-          else if Vec.fits ~demand ~available:agg.max_avail then
-            (* Mixed ToR: direct edges to the servers that do fit. *)
-            Array.iter
-              (fun s ->
-                let available = view.server_available s in
-                if view.View.alive s && Vec.fits ~demand ~available then begin
-                  let cost =
-                    Cost_model.gs_shortcut ~demand ~available
-                      ~phi_loc:(phi_loc_at b view census ctx s)
-                      ~phi_prio params
-                  in
-                  candidates := { target = `Server s; cap = 1; cost } :: !candidates
-                end)
-              (Fat_tree.servers_under topo tor))
-    (Fat_tree.tor_switches topo);
+  (match tor_max with
+  | Some available when Vec.fits ~demand ~available ->
+      Array.iter
+        (fun tor ->
+          match tor_aggs.(tor) with
+          | None -> ()
+          | Some agg ->
+              if Vec.fits ~demand ~available:agg.min_avail then begin
+                (* Every server under this ToR fits: one aggregate edge. *)
+                let cost =
+                  Cost_model.gs_shortcut ~demand ~available:agg.max_avail
+                    ~phi_loc:(phi_loc_at b view census ctx tor)
+                    ~phi_prio params
+                in
+                let cap = min ts.remaining (Array.length agg.servers) in
+                candidates := { target = `Tor tor; cap; cost } :: !candidates
+              end
+              else if Vec.fits ~demand ~available:agg.max_avail then
+                (* Mixed ToR: direct edges to the servers that do fit. *)
+                for i = 0 to Array.length agg.servers - 1 do
+                  let s = agg.servers.(i) and available = agg.avails.(i) in
+                  if Vec.fits ~demand ~available then begin
+                    let cost =
+                      Cost_model.gs_shortcut ~demand ~available
+                        ~phi_loc:(phi_loc_at b view census ctx s)
+                        ~phi_prio params
+                    in
+                    candidates := { target = `Server s; cap = 1; cost } :: !candidates
+                  end
+                done)
+        (Fat_tree.tor_switches view.topo)
+  | _ -> ());
   trim_shortcuts ~params !candidates
 
 let network_shortcuts b (view : View.t) census ~(params : Cost_model.params) ~ctx ~phi_prio
     (ts : Pending.tg_state) (ninfo : Poly_req.network_info) =
   let topo = view.topo in
   let sharing = view.sharing in
-  let service = ninfo.Poly_req.service in
   (* A sharing-unaware scheduler (CoCo++ retrofit) folds the shared
      registration into every instance: no reuse benefit. *)
   let per_switch, per_instance =
@@ -367,42 +389,37 @@ let network_shortcuts b (view : View.t) census ~(params : Cost_model.params) ~ct
       ( Vec.zero (Vec.dim ts.tg.Poly_req.demand),
         Vec.add ninfo.Poly_req.per_switch ts.tg.Poly_req.demand )
   in
+  (* [Sharing.effective_demand] on a switch without the service yet: the
+     first instance also pays the registration. *)
+  let first_demand = Vec.add per_switch per_instance in
+  let capacity = Sharing.capacity sharing in
+  let tor_only =
+    match ninfo.Poly_req.shape with
+    | Comp_store.Single_tor -> true
+    | Comp_store.Single | Comp_store.Chain | Comp_store.Tree | Comp_store.Spine_leaf -> false
+  in
   let candidates = ref [] in
-  Array.iter
-    (fun s ->
-      let shape_ok =
-        match ninfo.Poly_req.shape with
-        | Comp_store.Single_tor -> Fat_tree.kind topo s = Fat_tree.Tor
-        | Comp_store.Single | Comp_store.Chain | Comp_store.Tree | Comp_store.Spine_leaf ->
-            true
-      in
+  Sharing.iter_hosts sharing ~service:ninfo.Poly_req.service (fun s ~instances available ->
+      let demand = if instances > 0 then per_instance else first_demand in
       if
-        shape_ok
-        && (not (List.mem s ts.placed_on))
-        && Sharing.can_place sharing ~switch:s ~service ~per_switch ~per_instance
+        ((not tor_only) || Fat_tree.kind topo s = Fat_tree.Tor)
+        && Vec.fits ~demand ~available
+        && not (List.exists (Int.equal s) ts.placed_on)
       then begin
-        let effective =
-          Sharing.effective_demand sharing ~switch:s ~service ~per_switch ~per_instance
-        in
-        let available = Sharing.available sharing s in
-        let n_supported = Sharing.n_supported sharing s in
         let phi_new =
           if params.sharing_aware then
-            Cost_model.phi_new
-              ~service_active:(Sharing.instances sharing ~switch:s ~service > 0)
+            Cost_model.phi_new ~service_active:(instances > 0)
               ~n_active:(Sharing.n_active sharing s)
-              ~max_possible:n_supported
+              ~max_possible:(Sharing.n_supported sharing s)
           else 0.5
         in
         let cost =
-          Cost_model.gn_shortcut ~demand:effective ~available
-            ~capacity:(Sharing.capacity sharing)
+          Cost_model.gn_shortcut ~demand ~available ~capacity
             ~phi_loc:(phi_loc_at b view census ctx s)
             ~phi_new ~phi_prio params
         in
         candidates := { target = `Switch s; cap = 1; cost } :: !candidates
-      end)
-    (Sharing.switch_ids sharing);
+      end);
   trim_shortcuts ~params !candidates
 
 (* ------------------------------------------------------------------ *)
@@ -609,6 +626,7 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
   (match view.View.dirty with Some d -> Dirty.clear d | None -> ());
 
   let tor_aggs = b.tor_aggs in
+  let tor_max = tor_max_avail topo tor_aggs in
   let max_waiting =
     List.fold_left
       (fun acc (job, _) -> Float.max acc (now -. (job : Pending.job_state).poly.Poly_req.arrival))
@@ -651,7 +669,7 @@ let build ?builder (view : View.t) census ~jobs ~now ~(params : Cost_model.param
           let shortcuts =
             match tg.Poly_req.kind with
             | Poly_req.Server_tg ->
-                server_shortcuts b view census tor_aggs ~params ~ctx ~phi_prio ts
+                server_shortcuts b view census tor_aggs ~tor_max ~params ~ctx ~phi_prio ts
             | Poly_req.Network_tg ninfo ->
                 network_shortcuts b view census ~params ~ctx ~phi_prio ts ninfo
           in

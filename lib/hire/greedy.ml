@@ -52,7 +52,7 @@ let place (view : View.t) ~jobs ~(params : Cost_model.params) =
         if
           !found = None && shape_ok
           && (not (Int_tbl.mem used_this_round s))
-          && (not (List.mem s ts.placed_on))
+          && (not (List.exists (Int.equal s) ts.placed_on))
           && (not (List.mem s taken))
           && Sharing.can_place sharing ~switch:s ~service ~per_switch ~per_instance
         then found := Some s)

@@ -171,7 +171,8 @@ let inc_still_feasible t (job : Pending.job_state) =
              in
              (* A group of [remaining] slots needs that many distinct
                 switches beyond the ones it already occupies. *)
-             List.length (List.filter (fun s -> not (List.mem s ts.placed_on)) eligible)
+             List.length
+               (List.filter (fun s -> not (List.exists (Int.equal s) ts.placed_on)) eligible)
              >= ts.remaining)
 
 (* Apply the round's flavor picks so the picked groups materialize;

@@ -56,11 +56,13 @@ module Task_census = struct
   let add t ~tg_id ~machine = adjust t ~tg_id ~machine 1
   let remove t ~tg_id ~machine = adjust t ~tg_id ~machine (-1)
 
+  (* Lookups by exception, not [find_opt]: Υ calls this once per related
+     group and scored node, and an option would be allocated each time. *)
   let count_under t ~tg_id ~node =
-    match Int_tbl.find_opt t.groups tg_id with
-    | None -> 0
-    | Some g -> (
-        let get tbl key = match Int_tbl.find_opt tbl key with Some v -> v | None -> 0 in
+    match Int_tbl.find t.groups tg_id with
+    | exception Not_found -> 0
+    | g -> (
+        let get tbl key = match Int_tbl.find tbl key with v -> v | exception Not_found -> 0 in
         match Fat_tree.kind t.topo node with
         | Fat_tree.Core -> g.total
         | Fat_tree.Agg -> get g.by_pod (Fat_tree.node t.topo node).pod
@@ -78,10 +80,16 @@ module Task_census = struct
         |> List.sort (fun (m1, c1) (m2, c2) ->
                match Int.compare m1 m2 with 0 -> Int.compare c1 c2 | c -> c)
 
+  let fold_machines t ~tg_id f init =
+    match Int_tbl.find_opt t.groups tg_id with
+    | None -> init
+    | Some g -> Int_tbl.fold f g.by_machine init
+
   let switches t ~tg_id =
-    List.filter_map
-      (fun (m, _) -> if Fat_tree.is_switch t.topo m then Some m else None)
-      (machines t ~tg_id)
+    fold_machines t ~tg_id
+      (fun m _ acc -> if Fat_tree.is_switch t.topo m then m :: acc else acc)
+      []
+    |> List.sort Int.compare
 
   let clear_group t ~tg_id = Int_tbl.remove t.groups tg_id
 
@@ -144,23 +152,26 @@ module Memo = struct
     end
 end
 
-let upsilon ~memo ~key topo census ~tg_ids ~node ~group_size =
-  if group_size <= 0 then 1.0
+(* Tasks of the related groups under [node].  A plain recursion, not a
+   fold with a closure: Υ runs once per shortcut candidate. *)
+let rec total_related census node = function
+  | [] -> 0
+  | tg_id :: rest -> Task_census.count_under census ~tg_id ~node + total_related census node rest
+
+let server_term census tg_ids ~group_size node =
+  float_of_int (max 0 (group_size - total_related census node tg_ids)) /. float_of_int group_size
+
+(* Recursive Eq. 6 at switch [n]: the average over children of "related
+   tasks missing from that child's subtree", unclamped and memoised
+   under [key].  A subtree holding no related task scores exactly 1.0
+   (every leaf is gs/gs, and n copies of 1.0 average to 1.0), so it is
+   not walked.  Children are folded left to right, so memoised and fresh
+   values are the same floats. *)
+let rec subtree_score memo key topo census tg_ids ~group_size n =
+  if memo.Memo.seen.(n) = key then memo.Memo.value.(n)
   else begin
-    let total_related tg_node =
-      List.fold_left
-        (fun acc tg_id -> acc + Task_census.count_under census ~tg_id ~node:tg_node)
-        0 tg_ids
-    in
-    let gs = float_of_int group_size in
-    let server_term n = float_of_int (max 0 (group_size - total_related n)) /. gs in
-    (* Recursive Eq. 6: average over children of "related tasks missing
-       from that child's subtree".  A subtree holding no related task
-       scores exactly 1.0 (every leaf is gs/gs, and n copies of 1.0
-       average to 1.0), so it is not walked.  Children are folded left
-       to right, so memoised and fresh values are the same floats. *)
-    let rec go n =
-      if total_related n = 0 then 1.0
+    let v =
+      if total_related census n tg_ids = 0 then 1.0
       else begin
         match Fat_tree.children topo n with
         | [] -> 1.0
@@ -168,55 +179,65 @@ let upsilon ~memo ~key topo census ~tg_ids ~node ~group_size =
             let sum =
               List.fold_left
                 (fun acc kid ->
-                  acc +. if Fat_tree.is_server topo kid then server_term kid else switch kid)
+                  acc
+                  +.
+                  if Fat_tree.is_server topo kid then server_term census tg_ids ~group_size kid
+                  else subtree_score memo key topo census tg_ids ~group_size kid)
                 0.0 kids
             in
             sum /. float_of_int (List.length kids)
       end
-    and switch n =
-      if memo.Memo.seen.(n) = key then memo.Memo.value.(n)
-      else begin
-        let v = go n in
-        memo.Memo.seen.(n) <- key;
-        memo.Memo.value.(n) <- v;
-        v
-      end
     in
-    if Fat_tree.is_server topo node then Float.min 1.0 (server_term node)
-    else begin
-      Memo.ensure memo (Fat_tree.node_count topo);
-      Float.max 0.0 (Float.min 1.0 (switch node))
-    end
+    memo.Memo.seen.(n) <- key;
+    memo.Memo.value.(n) <- v;
+    v
+  end
+
+let upsilon ~memo ~key topo census ~tg_ids ~node ~group_size =
+  if group_size <= 0 then 1.0
+  else if Fat_tree.is_server topo node then
+    Float.min 1.0 (server_term census tg_ids ~group_size node)
+  else begin
+    Memo.ensure memo (Fat_tree.node_count topo);
+    Float.max 0.0 (Float.min 1.0 (subtree_score memo key topo census tg_ids ~group_size node))
   end
 
 module Gain = struct
-  type t = { table : int Int_tbl.t; max_gain : int }
+  (* [table.(n)] is the accumulated Γ at switch [n] (switch ids are
+     [0 .. n_switches - 1], see [Fat_tree.switches]); [||] when there
+     is no source.  Γ is 0 at every server. *)
+  type t = { table : int array; max_gain : int }
 
-  let inc_loc_prop topo table ~start ~gamma ~xi =
-    let visited = Int_tbl.create 32 in
+  (* IncLocProp from [start]: a breadth-first walk over switches that
+     adds [gamma] at the start, [gamma / xi] one hop away, and so on
+     until the gain reaches 0.  A node's level is its hop distance
+     whatever order a level is walked in, so the integer sums do not
+     depend on it.  [seen] marks the switches this walk reached. *)
+  let inc_loc_prop topo table seen ~start ~gamma ~xi =
+    Bytes.fill seen 0 (Bytes.length seen) '\000';
     let visit = ref [ start ] in
     let g = ref gamma in
-    while !g > 0 && !visit <> [] do
+    while !g > 0 && not (List.is_empty !visit) do
       let next = ref [] in
       List.iter
         (fun n ->
-          if not (Int_tbl.mem visited n) then begin
-            Int_tbl.replace visited n ();
-            let cur = match Int_tbl.find_opt table n with Some v -> v | None -> 0 in
-            Int_tbl.replace table n (cur + !g);
-            List.iter
-              (fun nb -> if Topology.Fat_tree.is_switch topo nb then next := nb :: !next)
-              (Topology.Fat_tree.neighbors topo n)
+          if Bytes.get seen n = '\000' then begin
+            Bytes.set seen n '\001';
+            table.(n) <- table.(n) + !g;
+            let push nb =
+              if Fat_tree.is_switch topo nb && Bytes.get seen nb = '\000' then next := nb :: !next
+            in
+            List.iter push (Fat_tree.parents topo n);
+            List.iter push (Fat_tree.children topo n)
           end)
         !visit;
-      visit := List.filter (fun n -> not (Int_tbl.mem visited n)) !next;
+      visit := !next;
       g := !g / xi
     done
 
-  (* Every source-less result shares this one (empty, never written)
-     table, so a round that keeps many such results alive keeps no
-     tables for them. *)
-  let empty = { table = Int_tbl.create 1; max_gain = 0 }
+  (* Every source-less result shares this one empty table, so a round
+     that keeps many such results alive keeps no tables for them. *)
+  let empty = { table = [||]; max_gain = 0 }
 
   let compute topo census ~related ~gamma ~xi =
     if xi <= 1 then invalid_arg "Gain.compute: xi must be > 1";
@@ -227,12 +248,12 @@ module Gain = struct
     match sources with
     | [] -> empty
     | _ ->
-        let table = Int_tbl.create 64 in
-        List.iter (fun s -> inc_loc_prop topo table ~start:s ~gamma ~xi) sources;
-        let max_gain = Int_tbl.fold (fun _ v acc -> max v acc) table 0 in
-        { table; max_gain }
+        let n = Array.length (Fat_tree.switches topo) in
+        let table = Array.make n 0 and seen = Bytes.create n in
+        List.iter (fun start -> inc_loc_prop topo table seen ~start ~gamma ~xi) sources;
+        { table; max_gain = Array.fold_left Int.max 0 table }
 
-  let at t node = match Int_tbl.find_opt t.table node with Some v -> v | None -> 0
+  let at t node = if node >= 0 && node < Array.length t.table then t.table.(node) else 0
 
   let normalized t node =
     if t.max_gain <= 0 then 0.0 else float_of_int (at t node) /. float_of_int t.max_gain

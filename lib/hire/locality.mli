@@ -33,10 +33,12 @@ module Task_census : sig
 
   val total : t -> tg_id:int -> int
 
-  (** Machines hosting tasks of the group, with counts. *)
-  val machines : t -> tg_id:int -> (int * int) list
+  (** [fold_machines t ~tg_id f init] folds [f machine count] over the
+      machines hosting tasks of the group, with their task counts, in no
+      particular order: for order-independent sums. *)
+  val fold_machines : t -> tg_id:int -> (int -> int -> 'a -> 'a) -> 'a -> 'a
 
-  (** Switches among [machines]. *)
+  (** Switches hosting tasks of the group, ascending. *)
   val switches : t -> tg_id:int -> int list
 
   val clear_group : t -> tg_id:int -> unit

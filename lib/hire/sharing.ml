@@ -11,16 +11,25 @@ type sw_state = {
   mutable alive : bool;  (* fault injection: dead switches host nothing *)
 }
 
-type t = { cap : Vec.t; states : sw_state Int_tbl.t; ids : int array }
+type t = {
+  cap : Vec.t;
+  states : sw_state Int_tbl.t;
+  ids : int array;
+  hosts : (string, (int * sw_state) array) Hashtbl.t;
+      (* capable switches per service, in [ids] order *)
+}
 
 let create ~topo ~capacity ~supported =
   let ids = Fat_tree.switches topo in
   let states = Int_tbl.create (Array.length ids) in
+  (* The capability set never changes, so each service's capable
+     switches are listed once: the shortcut scan walks only those. *)
+  let capable = Hashtbl.create 8 in
   Array.iter
     (fun id ->
       let sup = Hashtbl.create 8 in
       List.iter (fun s -> Hashtbl.replace sup s ()) (supported id);
-      Int_tbl.replace states id
+      let st =
         {
           avail = Vec.copy capacity;
           supported = sup;
@@ -28,14 +37,23 @@ let create ~topo ~capacity ~supported =
           counts = Hashtbl.create 4;
           registered = Hashtbl.create 4;
           alive = true;
-        })
+        }
+      in
+      Int_tbl.replace states id st;
+      Hashtbl.iter
+        (fun service () ->
+          let prev = Option.value (Hashtbl.find_opt capable service) ~default:[] in
+          Hashtbl.replace capable service ((id, st) :: prev))
+        sup)
     ids;
-  { cap = Vec.copy capacity; states; ids }
+  let hosts = Hashtbl.create (Hashtbl.length capable) in
+  Hashtbl.iter (fun service l -> Hashtbl.replace hosts service (Array.of_list (List.rev l))) capable;
+  { cap = Vec.copy capacity; states; ids; hosts }
 
 let state t switch =
-  match Int_tbl.find_opt t.states switch with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Sharing: %d is not a switch" switch)
+  match Int_tbl.find t.states switch with
+  | s -> s
+  | exception Not_found -> invalid_arg (Printf.sprintf "Sharing: %d is not a switch" switch)
 
 let capacity t = Vec.copy t.cap
 let available t switch = Vec.copy (state t switch).avail
@@ -64,8 +82,18 @@ let active_services t switch =
 let n_active t switch =
   Hashtbl.fold (fun _ c acc -> if c > 0 then acc + 1 else acc) (state t switch).counts 0
 
-let instances t ~switch ~service =
-  match Hashtbl.find_opt (state t switch).counts service with Some c -> c | None -> 0
+let count st service =
+  match Hashtbl.find st.counts service with c -> c | exception Not_found -> 0
+
+let instances t ~switch ~service = count (state t switch) service
+
+let iter_hosts t ~service f =
+  match Hashtbl.find_opt t.hosts service with
+  | None -> ()
+  | Some hosts ->
+      Array.iter
+        (fun (id, st) -> if st.alive then f id ~instances:(count st service) st.avail)
+        hosts
 
 let effective_demand t ~switch ~service ~per_switch ~per_instance =
   if instances t ~switch ~service > 0 then Vec.copy per_instance

@@ -52,6 +52,13 @@ val n_active : t -> int -> int
 (** Number of instances of one service on the switch. *)
 val instances : t -> switch:int -> service:string -> int
 
+(** [iter_hosts t ~service f] calls [f switch ~instances available], in
+    {!switch_ids} order, for every switch that {!supports} [service];
+    [instances] is {!instances} of the service there.  For the network
+    build's shortcut scan, which must not copy: [available] is the
+    ledger's own vector, so [f] must neither mutate nor keep it. *)
+val iter_hosts : t -> service:string -> (int -> instances:int -> Vec.t -> unit) -> unit
+
 (** The demand a new instance would actually consume on this switch:
     per-instance demand plus, if the service is not yet registered there,
     its per-switch registration ([nol] — the first tenant pays for the

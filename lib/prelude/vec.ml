@@ -38,11 +38,14 @@ let sub_into acc v =
   check_dims acc v "sub_into";
   Array.iteri (fun i x -> acc.(i) <- acc.(i) -. x) v
 
+(* A plain index loop: [le] runs once per shortcut candidate, so it must
+   not allocate a closure or a ref. *)
+let rec le_from a b i =
+  i >= Array.length a || ((not (a.(i) > b.(i) +. eps)) && le_from a b (i + 1))
+
 let le a b =
   check_dims a b "le";
-  let ok = ref true in
-  Array.iteri (fun i x -> if x > b.(i) +. eps then ok := false) a;
-  !ok
+  le_from a b 0
 
 let fits ~demand ~available = le demand available
 

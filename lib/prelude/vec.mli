@@ -6,6 +6,10 @@
 
 type t = float array
 
+(** Tolerance of {!le}/{!fits}, and the magnitude below which {!div}
+    treats a divisor as zero. *)
+val eps : float
+
 val create : int -> float -> t
 val of_list : float list -> t
 val dim : t -> int

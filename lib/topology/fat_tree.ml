@@ -11,6 +11,7 @@ type t = {
   agg : int array;
   tor : int array;
   server_ids : int array;
+  switch_ids : int array;  (* core, agg, tor *)
   parents_adj : int list array;
   children_adj : int list array;
   tor_of : int array;  (* server id -> tor id; -1 for non-servers *)
@@ -86,6 +87,7 @@ let create ~k =
     agg;
     tor;
     server_ids;
+    switch_ids = Array.concat [ core; agg; tor ];
     parents_adj;
     children_adj;
     tor_of;
@@ -140,6 +142,7 @@ let create_leaf_spine ~spines ~leafs ~servers_per_leaf =
     agg = [||];
     tor;
     server_ids;
+    switch_ids = Array.append core tor;
     parents_adj;
     children_adj;
     tor_of;
@@ -161,7 +164,7 @@ let is_server t id = kind t id = Server
 let is_switch t id = kind t id <> Server
 let servers t = t.server_ids
 
-let switches t = Array.concat [ t.core; t.agg; t.tor ]
+let switches t = t.switch_ids
 
 let core_switches t = t.core
 let agg_switches t = t.agg
@@ -183,10 +186,10 @@ let servers_under t id =
       let acc = ref [] in
       let rec go v =
         if is_server t v then acc := v :: !acc
-        else List.iter go (List.sort_uniq compare t.children_adj.(v))
+        else List.iter go (List.sort_uniq Int.compare t.children_adj.(v))
       in
       go id;
-      let arr = Array.of_list (List.sort_uniq compare !acc) in
+      let arr = Array.of_list (List.sort_uniq Int.compare !acc) in
       Hashtbl.replace t.servers_under_cache id arr;
       arr
 
@@ -203,7 +206,9 @@ let switches_under t id =
         end
       in
       go id;
-      let arr = Array.of_list (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])) in
+      let arr =
+        Array.of_list (List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []))
+      in
       Hashtbl.replace t.switches_under_cache id arr;
       arr
 

@@ -44,7 +44,11 @@ val is_switch : t -> int -> bool
 (** All server node ids, in id order. *)
 val servers : t -> int array
 
-(** All switch node ids (core ++ agg ++ tor), in id order. *)
+(** All switch node ids (core ++ agg ++ tor), in id order.  Switches
+    are numbered before servers, so these are exactly
+    [0 .. Array.length (switches t) - 1]: a per-switch table can be a
+    plain array.  Like the other id arrays, it is the topology's own
+    array, built once: callers must not mutate it. *)
 val switches : t -> int array
 
 val core_switches : t -> int array

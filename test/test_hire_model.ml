@@ -663,6 +663,74 @@ let prop_upsilon_matches_naive =
             ctxs)
         (List.init (Fat_tree.node_count topo) Fun.id))
 
+(* Reference Γ: Alg. 1 as first written, one hashtable of visited nodes
+   per source and one of gains per result. *)
+let naive_gain topo census ~related ~gamma ~xi =
+  let table = Hashtbl.create 64 in
+  let sources =
+    List.concat_map (fun tg_id -> Locality.Task_census.switches census ~tg_id) related
+    |> List.sort_uniq Int.compare
+  in
+  List.iter
+    (fun start ->
+      let visited = Hashtbl.create 32 in
+      let visit = ref [ start ] and g = ref gamma in
+      while !g > 0 && !visit <> [] do
+        let next = ref [] in
+        List.iter
+          (fun n ->
+            if not (Hashtbl.mem visited n) then begin
+              Hashtbl.replace visited n ();
+              let cur = Option.value (Hashtbl.find_opt table n) ~default:0 in
+              Hashtbl.replace table n (cur + !g);
+              List.iter
+                (fun nb -> if Fat_tree.is_switch topo nb then next := nb :: !next)
+                (Fat_tree.neighbors topo n)
+            end)
+          !visit;
+        visit := List.filter (fun n -> not (Hashtbl.mem visited n)) !next;
+        g := !g / xi
+      done)
+    sources;
+  fun node -> Option.value (Hashtbl.find_opt table node) ~default:0
+
+(* Random censuses on k ∈ {4,6,8} with tasks on any node; Γ must match
+   the reference at every node, and [normalized] must divide by the
+   reference maximum. *)
+let prop_gain_matches_naive =
+  let gen =
+    QCheck.Gen.(
+      let* k = oneofl [ 4; 6; 8 ] in
+      let n = Fat_tree.node_count (Fat_tree.create ~k) in
+      let* tasks = list_size (int_range 0 12) (pair (int_range 1 3) (int_range 0 (n - 1))) in
+      let* related = list_size (int_range 1 3) (int_range 1 4) in
+      let* gamma = oneofl [ 1; 8; 64 ] and* xi = int_range 2 4 in
+      return (k, tasks, related, gamma, xi))
+  in
+  let print (k, tasks, related, gamma, xi) =
+    Printf.sprintf "k=%d tasks=[%s] related=[%s] gamma=%d xi=%d" k
+      (String.concat ";" (List.map (fun (g, m) -> Printf.sprintf "%d@%d" g m) tasks))
+      (String.concat ";" (List.map string_of_int related))
+      gamma xi
+  in
+  QCheck.Test.make ~name:"gain equals the reference propagation at every node" ~count:200
+    (QCheck.make ~print gen)
+    (fun (k, tasks, related, gamma, xi) ->
+      let topo = Fat_tree.create ~k in
+      let census = Locality.Task_census.create topo in
+      List.iter (fun (tg_id, machine) -> Locality.Task_census.add census ~tg_id ~machine) tasks;
+      let gain = Locality.Gain.compute topo census ~related ~gamma ~xi in
+      let expected = naive_gain topo census ~related ~gamma ~xi in
+      let nodes = List.init (Fat_tree.node_count topo) Fun.id in
+      let max_gain = List.fold_left (fun acc n -> Int.max acc (expected n)) 0 nodes in
+      List.for_all
+        (fun n ->
+          Locality.Gain.at gain n = expected n
+          && Locality.Gain.normalized gain n
+             = if max_gain <= 0 then 0.0
+               else float_of_int (expected n) /. float_of_int max_gain)
+        nodes)
+
 let test_gain_propagates_and_decays () =
   let topo = Fat_tree.create ~k:4 in
   let census = Locality.Task_census.create topo in
@@ -746,6 +814,98 @@ let test_fallback_penalty () =
 let test_flatten_weights () =
   let w = Cost_model.flatten ~weights:[| 1.0; 3.0 |] [ 0.0; 1.0 ] ~penalty:0.0 params in
   Alcotest.(check int) "weighted" 750 w
+
+(* Reference shortcut costs: the vector-and-list form the in-place
+   [Cost_model.gs_shortcut]/[gn_shortcut] replace, with the [Float]
+   clamp they replace.  The in-place costs must equal these ints for
+   every input, because placements depend on their order. *)
+let ref_clamp01 x = Float.max 0.0 (Float.min 1.0 x)
+
+let ref_flatten components =
+  let components = Array.of_list components in
+  let n = Array.length components in
+  let avg = if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 components /. float_of_int n in
+  int_of_float
+    (Float.round ((ref_clamp01 avg +. Float.max 0.0 0.0) *. float_of_int params.cost_scale))
+
+let ref_demand_fit ~demand ~available =
+  let ratio = Array.map ref_clamp01 (Vec.div demand available) in
+  (Vec.avg ratio, ref_clamp01 (Vec.stddev ratio))
+
+let ref_gs_shortcut ~demand ~available ~phi_loc ~phi_prio =
+  let fit_avg, fit_dev = ref_demand_fit ~demand ~available in
+  ref_flatten [ fit_avg; fit_dev; phi_loc; 1.0; phi_prio ]
+
+let ref_gn_shortcut ~demand ~available ~capacity ~phi_loc ~phi_new ~phi_prio =
+  let fit_avg, fit_dev = ref_demand_fit ~demand ~available in
+  let free_after =
+    let remaining = Vec.clamp_nonneg (Vec.sub available demand) in
+    Vec.avg (Vec.div remaining capacity)
+  in
+  ref_flatten [ fit_avg; fit_dev; free_after; phi_loc; phi_new; phi_prio ]
+
+(* The closure form [Vec.le] replaces. *)
+let ref_le a b =
+  let ok = ref true in
+  Array.iteri (fun i x -> if x > b.(i) +. Vec.eps then ok := false) a;
+  !ok
+
+(* Dimensions 1–4; coordinates drawn so that zero, values below
+   [Vec.eps] (either sign), demand above availability and head-room
+   above capacity all occur; Φ terms include values outside [0, 1],
+   -0.0, infinities and NaN. *)
+let prop_shortcut_costs_match_reference =
+  let coord =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl [ 0.0; -0.0; 1e-12; -1e-12; 0.5e-9; Vec.eps; 1.0 ];
+          float_range 0.0 2.0;
+          float_range (-0.5) 3.0;
+        ])
+  in
+  let phi =
+    QCheck.Gen.(
+      oneof
+        [
+          float_range 0.0 1.0;
+          oneofl [ 0.0; -0.0; 1.0; -0.25; 1.5; infinity; neg_infinity; nan ];
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 4 in
+      let vec = array_size (return n) coord in
+      let* demand = vec and* available = vec and* capacity = vec in
+      let* phi_loc = phi and* phi_new = phi and* phi_prio = phi in
+      return (demand, available, capacity, phi_loc, phi_new, phi_prio))
+  in
+  let print (d, a, c, pl, pn, pp) =
+    Printf.sprintf "demand=%s available=%s capacity=%s phi_loc=%h phi_new=%h phi_prio=%h"
+      (Vec.to_string d) (Vec.to_string a) (Vec.to_string c) pl pn pp
+  in
+  QCheck.Test.make ~name:"in-place shortcut costs equal the vector form" ~count:2000
+    (QCheck.make ~print gen)
+    (fun (demand, available, capacity, phi_loc, phi_new, phi_prio) ->
+      let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      Cost_model.gs_shortcut ~demand ~available ~phi_loc ~phi_prio params
+      = ref_gs_shortcut ~demand ~available ~phi_loc ~phi_prio
+      && Cost_model.gn_shortcut ~demand ~available ~capacity ~phi_loc ~phi_new ~phi_prio params
+         = ref_gn_shortcut ~demand ~available ~capacity ~phi_loc ~phi_new ~phi_prio
+      (* Φx̂ with max_estimate 1 is the bare clamp. *)
+      && same_float
+           (Cost_model.phi_xhat ~estimate:phi_loc ~max_estimate:1.0)
+           (ref_clamp01 phi_loc)
+      && Vec.fits ~demand ~available = ref_le demand available
+      (* At the tolerance edge: [b + eps] fits, one ulp above does not. *)
+      &&
+      let edge = Array.map (fun b -> b +. Vec.eps) available in
+      let above = Array.copy edge in
+      above.(0) <- Float.succ above.(0);
+      Vec.fits ~demand:edge ~available = ref_le edge available
+      && Vec.fits ~demand:above ~available = ref_le above available
+      && Vec.fits ~demand:edge ~available
+      && not (Vec.fits ~demand:above ~available))
 
 (* ------------------------------------------------------------------ *)
 (* Pending                                                            *)
@@ -858,7 +1018,7 @@ let () =
           Alcotest.test_case "gain propagation" `Quick test_gain_propagates_and_decays;
           Alcotest.test_case "gain empty" `Quick test_gain_empty_sources;
         ]
-        @ qt [ prop_upsilon_matches_naive ] );
+        @ qt [ prop_upsilon_matches_naive; prop_gain_matches_naive ] );
       ( "cost_model",
         [
           Alcotest.test_case "phi_pref" `Quick test_phi_pref_shape;
@@ -869,7 +1029,8 @@ let () =
           Alcotest.test_case "flatten/edges" `Quick test_flatten_and_edges;
           Alcotest.test_case "fallback penalty" `Quick test_fallback_penalty;
           Alcotest.test_case "flatten weights" `Quick test_flatten_weights;
-        ] );
+        ]
+        @ qt [ prop_shortcut_costs_match_reference ] );
       ( "pending",
         [
           Alcotest.test_case "lifecycle" `Quick test_pending_lifecycle;

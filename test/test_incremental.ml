@@ -233,6 +233,17 @@ let check_identical_networks name na nb =
     (name ^ ": same objective")
     ob.Flow_network.solver.Mcmf.total_cost oa.Flow_network.solver.Mcmf.total_cost
 
+(* Server-group shortcut arcs of a network: (to a ToR, to a server). *)
+let server_shortcut_counts net =
+  let g = Flow_network.graph net in
+  let tors = ref 0 and servers = ref 0 in
+  Graph.iter_arcs g (fun a ->
+      match (Flow_network.role net (Graph.src g a), Flow_network.role net (Graph.dst g a)) with
+      | Flow_network.Group _, Flow_network.Aux_server _ -> incr tors
+      | Flow_network.Group _, Flow_network.Machine_server _ -> incr servers
+      | _ -> ());
+  (!tors, !servers)
+
 let test_builder_identity_under_churn () =
   let cluster = make_cluster () in
   let view = Sim.Cluster.view cluster in
@@ -247,19 +258,52 @@ let test_builder_identity_under_churn () =
        fresh build does not need. *)
     let ni = Flow_network.build ~builder view census ~jobs ~now:10.0 ~params in
     let nf = Flow_network.build view census ~jobs ~now:10.0 ~params in
-    check_identical_networks name ni nf
+    check_identical_networks name ni nf;
+    ni
   in
-  build_both "cold builder";
+  ignore (build_both "cold builder");
   (* Cost churn: ledger charges mark servers dirty; the next build
      patches in place. *)
   Sim.Cluster.place_server_task cluster ~server:servers.(0) ~demand;
   Sim.Cluster.place_server_task cluster ~server:servers.(3) ~demand;
-  build_both "after charges";
+  ignore (build_both "after charges");
   Alcotest.(check bool) "patched, not rebuilt" false
     (Flow_network.stats (Flow_network.build ~builder view census ~jobs ~now:10.0 ~params))
       .Flow_network.full;
   Sim.Cluster.release_server_task cluster ~server:servers.(0) ~demand;
-  build_both "after release";
+  ignore (build_both "after release");
+  (* Mixed ToR: servers.(0) can no longer host a task (2 CPU, 4 mem)
+     while its ToR sibling servers.(1) can, so the ToR gets per-server
+     arcs priced from the aggregate's snapshotted vectors. *)
+  let capacity = Sim.Cluster.server_capacity cluster in
+  let heavy = Vec.sub capacity (Vec.of_list [ 1.0; 1.0 ]) in
+  Sim.Cluster.place_server_task cluster ~server:servers.(0) ~demand:heavy;
+  let ni = build_both "mixed ToR" in
+  Alcotest.(check bool) "mixed ToR: per-server arcs" true (snd (server_shortcut_counts ni) > 0);
+  (* Charging the sibling that still fits must reprice its arc. *)
+  let half = Vec.scale 0.5 capacity in
+  Sim.Cluster.place_server_task cluster ~server:servers.(1) ~demand:half;
+  let ni = build_both "mixed ToR, fitting server charged" in
+  Alcotest.(check bool) "still mixed" true (snd (server_shortcut_counts ni) > 0);
+  (* Releasing the heavy charge turns the ToR back into one arc. *)
+  Sim.Cluster.release_server_task cluster ~server:servers.(0) ~demand:heavy;
+  let ni = build_both "mixed ToR released" in
+  Alcotest.(check int) "aggregate again: no per-server arcs" 0 (snd (server_shortcut_counts ni));
+  Sim.Cluster.release_server_task cluster ~server:servers.(1) ~demand:half;
+  ignore (build_both "sibling released");
+  (* Full cluster: no server fits a task, so the round-wide pre-filter
+     drops every server shortcut. *)
+  let fill =
+    Array.map
+      (fun s -> Vec.sub (Sim.Cluster.server_available cluster s) (Vec.of_list [ 1.0; 1.0 ]))
+      servers
+  in
+  Array.iteri (fun i s -> Sim.Cluster.place_server_task cluster ~server:s ~demand:fill.(i)) servers;
+  let ni = build_both "full cluster" in
+  Alcotest.(check (pair int int)) "full cluster: no server shortcuts" (0, 0)
+    (server_shortcut_counts ni);
+  Array.iteri (fun i s -> Sim.Cluster.release_server_task cluster ~server:s ~demand:fill.(i)) servers;
+  ignore (build_both "cluster drained");
   (* Structural churn: liveness flips force a full prefix rebuild. *)
   Sim.Cluster.fail_node cluster ~time:11.0 servers.(1);
   let ni = Flow_network.build ~builder view census ~jobs ~now:12.0 ~params in
@@ -267,7 +311,7 @@ let test_builder_identity_under_churn () =
   let nf = Flow_network.build view census ~jobs ~now:12.0 ~params in
   check_identical_networks "after server failure" ni nf;
   ignore (Sim.Cluster.recover_node cluster servers.(1));
-  build_both "after recovery"
+  ignore (build_both "after recovery")
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end property: incremental == full rebuild                    *)

@@ -19,7 +19,9 @@ let test_counts () =
   Alcotest.(check int) "tors" 8 (Array.length (Fat_tree.tor_switches t4));
   Alcotest.(check int) "servers" 16 (Array.length (Fat_tree.servers t4));
   Alcotest.(check int) "switches" 20 (Array.length (Fat_tree.switches t4));
-  Alcotest.(check int) "total" 36 (Fat_tree.node_count t4)
+  Alcotest.(check int) "total" 36 (Fat_tree.node_count t4);
+  (* Switches are numbered first: per-switch tables are plain arrays. *)
+  Alcotest.(check (array int)) "switch ids 0..19" (Array.init 20 Fun.id) (Fat_tree.switches t4)
 
 let test_counts_k8 () =
   (* k=8: 16 cores, 32 aggs, 32 tors, 128 servers. *)
@@ -30,7 +32,9 @@ let test_paper_scale () =
   (* The paper's k=26 tree: 4394 servers, 845 switches. *)
   let t26 = Fat_tree.create ~k:26 in
   Alcotest.(check int) "servers" 4394 (Array.length (Fat_tree.servers t26));
-  Alcotest.(check int) "switches" 845 (Array.length (Fat_tree.switches t26))
+  Alcotest.(check int) "switches" 845 (Array.length (Fat_tree.switches t26));
+  Alcotest.(check (array int)) "switch ids 0..844" (Array.init 845 Fun.id)
+    (Fat_tree.switches t26)
 
 let test_create_rejects_odd_k () =
   Alcotest.(check bool) "odd k rejected" true
@@ -214,7 +218,8 @@ let test_leaf_spine_counts () =
   Alcotest.(check int) "no aggregation tier" 0 (Array.length (Fat_tree.agg_switches ls));
   Alcotest.(check int) "leafs" 8 (Array.length (Fat_tree.tor_switches ls));
   Alcotest.(check int) "servers" 48 (Array.length (Fat_tree.servers ls));
-  Alcotest.(check int) "switches" 12 (Array.length (Fat_tree.switches ls))
+  Alcotest.(check int) "switches" 12 (Array.length (Fat_tree.switches ls));
+  Alcotest.(check (array int)) "switch ids 0..11" (Array.init 12 Fun.id) (Fat_tree.switches ls)
 
 let test_leaf_spine_adjacency () =
   Array.iter
