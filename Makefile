@@ -1,4 +1,4 @@
-.PHONY: all build test check lint-compare bench-solver bench-portfolio bench-journal bench-server bench-reopt perfbench-smoke doc clean
+.PHONY: all build test check lint-compare bench-solver bench-journal bench-server bench-reopt perfbench-smoke doc clean
 
 all: build
 
@@ -29,14 +29,6 @@ bench-solver:
 	@grep -q '"identical": true' BENCH_5.json
 	@echo "bench-solver: OK (BENCH_5.json)"
 
-# Solver-portfolio race benchmark; writes BENCH_6.json (see
-# docs/PARALLELISM.md for how to read it).  Exits non-zero if the raced
-# winner ever diverges from a serial solve of the same backend.
-bench-portfolio:
-	dune exec bench/bench_portfolio.exe -- --out BENCH_6.json
-	@grep -q '"identical": true' BENCH_6.json
-	@echo "bench-portfolio: OK (BENCH_6.json)"
-
 # Journaling-overhead and crash-recovery benchmark; writes BENCH_7.json
 # (see docs/JOURNAL.md for how to read it).  Exits non-zero if any
 # journaled, crashed, or recovered run diverges from the plain run.
@@ -56,8 +48,8 @@ bench-server:
 # Re-optimizing solve-path benchmark; writes BENCH_9.json (see
 # docs/PERFORMANCE.md, "Re-optimizing solves", for how to read it).
 # Exits non-zero if the Fast solver ever diverges from the Classic
-# baseline, if the re-optimizing pipeline diverges from its escape
-# hatches, or if the speedup gates (2x solve phase, 5x per-round
+# baseline, if the re-optimizing pipeline diverges from a full rebuild,
+# or if the speedup gates (2x solve phase, 5x per-round
 # pipeline vs the pre-PR-5 baseline of BENCH_5.json) fail.
 bench-reopt:
 	dune exec bench/bench_reopt.exe -- --min-speedup 2 --min-e2e-speedup 5 --out BENCH_9.json
@@ -78,8 +70,9 @@ perfbench-smoke:
 # fast with a one-line error, that the parallel sweep runner
 # (docs/RUNNER.md) executes and resumes a tiny sweep, and that a run
 # with an exhausted solver budget degrades along the fallback chain
-# instead of wedging (docs/RESILIENCE.md), that a budgeted portfolio
-# run races and records per-backend wins (docs/PARALLELISM.md), that a
+# instead of wedging (docs/RESILIENCE.md), that a multi-seed run under
+# HIRE_CHAOS prints the same seed reports with --jobs 1 and --jobs 4
+# (every seed runs in its own forked process, docs/RUNNER.md), that a
 # short solver benchmark still certifies the incremental network path
 # bit-identical (docs/PERFORMANCE.md), and that a journaled run crashed
 # mid-flight with a corrupted WAL tail recovers — tear truncated
@@ -118,9 +111,17 @@ check: lint-compare
 	dune exec bin/hire_sim.exe -- -s hire -k 4 --horizon 40 --util 2.0 --seeds 1 \
 		--solver-budget 0 --guard 1 \
 		| grep -E 'degraded-rounds=[1-9]' > /dev/null
-	dune exec bin/hire_sim.exe -- -s hire -k 4 --horizon 40 --util 2.0 --seeds 1 \
-		--portfolio --solver-steps 4000 --obs-summary \
-		| grep -E 'flow\.portfolio\.win\.[a-z-]+ +[1-9]' > /dev/null
+	HIRE_CHAOS=7 dune exec bin/hire_sim.exe -- -s hire -k 4 --horizon 60 --util 2.0 \
+		--seeds 1,2,3,4 --solver-steps 3000 --guard 1 --jobs 1 2>/dev/null \
+		| grep '^seed ' > /tmp/hire_check_jobs1.txt
+	HIRE_CHAOS=7 dune exec bin/hire_sim.exe -- -s hire -k 4 --horizon 60 --util 2.0 \
+		--seeds 1,2,3,4 --solver-steps 3000 --guard 1 --jobs 4 2>/dev/null \
+		| grep '^seed ' > /tmp/hire_check_jobs4.txt
+	@test "$$(wc -l < /tmp/hire_check_jobs1.txt)" -eq 4 || \
+		{ echo "check: FAIL (expected four seed reports)"; exit 1; }
+	@cmp /tmp/hire_check_jobs1.txt /tmp/hire_check_jobs4.txt || \
+		{ echo "check: FAIL (seed reports depend on --jobs under HIRE_CHAOS)"; exit 1; }
+	rm -f /tmp/hire_check_jobs1.txt /tmp/hire_check_jobs4.txt
 	dune exec bench/bench_solver.exe -- --rounds 40 -k 4 --no-e2e \
 		--out /tmp/hire_bench_smoke.json
 	@grep -q '"identical": true' /tmp/hire_bench_smoke.json || \

@@ -3,7 +3,7 @@
    re-optimizing Fast path (early-terminating bucket/heap Dijkstra with
    generation-stamped scratch and settled-only potential updates), and
    the end-to-end effect of the default pipeline (incremental builder +
-   touched-arc flow reset + Fast solves) against its escape hatches.
+   touched-arc flow reset + Fast solves) against full rebuilds.
    Emits a JSON report (BENCH_9.json) consumed by CI.
 
    Three parts:
@@ -11,9 +11,10 @@
    - [micro]: one k-ary cluster with a frozen pending-job queue sized by
      [--queue-horizon].  Each round applies a small ledger mutation and
      patches the persistent network builder; the resulting instance is
-     then solved twice — Classic on a private copy, Fast on the
-     persistent graph (the production path: the next round's patch must
-     recover from the consumed flow).  Only the [Mcmf.solve] calls are
+     then solved twice on the persistent graph — Classic first, then,
+     after a full flow reset, Fast (the production path: the next
+     round's patch must recover from the consumed flow).  Only the
+     [Mcmf.solve] calls are
      timed, so the ratio is a pure solve-phase speedup on identical
      instances.  Both solves must agree on shipped flow and objective
      every round (tie-breaking may differ across algorithms, so per-arc
@@ -21,12 +22,12 @@
      also records an augmentations-per-round histogram.
 
    - [e2e]: one short Experiment cell run three ways — legacy full
-     rebuilds ([--no-incremental]), incremental with cold flow resets
-     ([--no-reopt]), and the default re-optimizing path — compared
-     through per-round placement logs and the CSV row (wall-clock column
-     masked).  The reopt and cold runs must be byte-identical; the
-     legacy run gives the end-to-end speedup of the whole
-     PR-5-through-PR-10 pipeline.
+     rebuilds with the Classic solver, full rebuilds with the Fast
+     solver ([--no-incremental]), and the default re-optimizing path —
+     compared through per-round placement logs and the CSV row
+     (wall-clock column masked).  The reopt and full runs must be
+     byte-identical; the legacy run gives the end-to-end speedup of the
+     whole incremental, re-optimizing pipeline.
 
    - gates: exit status 1 when any identity check fails, or when
      [--min-speedup] is given and the measured solve-phase speedup falls
@@ -136,7 +137,7 @@ let histogram samples =
   |> List.map (fun ((lo, hi), n) -> (bucket_label lo hi, n))
 
 let run_micro fx ~rounds =
-  let builder = Flow_network.create_builder ~reopt:true () in
+  let builder = Flow_network.create_builder () in
   (* Cold build outside the measured region. *)
   ignore (build_incremental fx builder);
   let scratch_c = Mcmf.scratch () and scratch_f = Mcmf.scratch () in
@@ -155,12 +156,13 @@ let run_micro fx ~rounds =
     let net = build_incremental fx builder in
     let g = Flow_network.graph net in
     arcs := Graph.arc_count g;
-    (* Classic solves a private copy; Fast solves the persistent graph
-       so the next round's patch has real consumed flow to undo. *)
-    let gc = Graph.copy g in
+    (* Classic solves first and its flow is swept away (outside the
+       timed region); Fast then solves the same instance and leaves its
+       flow for the next round's patch to undo. *)
     let t0 = Clock.now () in
-    let rc = Mcmf.solve ~scratch:scratch_c ~algo:Mcmf.Classic gc in
+    let rc = Mcmf.solve ~scratch:scratch_c ~algo:Mcmf.Classic g in
     classic_wall := !classic_wall +. Clock.elapsed_since t0;
+    Graph.reset_flows g;
     let t1 = Clock.now () in
     let rf = Mcmf.solve ~scratch:scratch_f ~algo:Mcmf.Fast g in
     fast_wall := !fast_wall +. Clock.elapsed_since t1;
@@ -232,7 +234,7 @@ let run_pipeline fx ~rounds =
     pre.(i) <- (r.Mcmf.shipped, r.Mcmf.total_cost)
   done;
   let pre_wall_s = Clock.elapsed_since t0 in
-  let builder = Flow_network.create_builder ~reopt:true () in
+  let builder = Flow_network.create_builder () in
   ignore (build_incremental fx builder);
   let scratch = Mcmf.scratch () in
   let identical = ref true in
@@ -257,10 +259,10 @@ let run_pipeline fx ~rounds =
   }
 
 (* ------------------------------------------------------------------ *)
-(* End to end: legacy / cold-reset / re-optimizing                     *)
+(* End to end: legacy / full rebuild / re-optimizing                    *)
 (* ------------------------------------------------------------------ *)
 
-type mode = Legacy | Cold | Reopt
+type mode = Legacy | Full | Reopt
 
 (* One full simulation cell with per-round placement logging, as in
    bench_solver: identity is judged on the placement log plus the CSV
@@ -290,10 +292,10 @@ let run_cell ~mode ~k ~horizon ~util =
   let sched =
     match mode with
     | Legacy ->
-        Schedulers.Hire_adapter.create ~incremental:false ~reopt:false
+        Schedulers.Hire_adapter.create ~incremental:false
           ~solver:Hire.Flow_network.Ssp_classic cluster
-    | Cold -> Schedulers.Registry.create ~incremental:true ~reopt:false "hire" ~seed:1 cluster
-    | Reopt -> Schedulers.Registry.create ~incremental:true ~reopt:true "hire" ~seed:1 cluster
+    | Full -> Schedulers.Registry.create ~incremental:false "hire" ~seed:1 cluster
+    | Reopt -> Schedulers.Registry.create ~incremental:true "hire" ~seed:1 cluster
   in
   let log = Buffer.create 4096 in
   let rounds = ref 0 in
@@ -332,7 +334,7 @@ let run_cell ~mode ~k ~horizon ~util =
 type e2e_result = {
   identical : bool;
   wall_s_legacy : float;
-  wall_s_cold : float;
+  wall_s_full : float;
   wall_s_reopt : float;
   rounds_per_sec : float;
   end_to_end_speedup : float;
@@ -340,7 +342,7 @@ type e2e_result = {
 
 let run_e2e ~k ~horizon ~util =
   let _log_l, _row_l, wall_s_legacy, _ = run_cell ~mode:Legacy ~k ~horizon ~util in
-  let log_c, row_c, wall_s_cold, _ = run_cell ~mode:Cold ~k ~horizon ~util in
+  let log_f, row_f, wall_s_full, _ = run_cell ~mode:Full ~k ~horizon ~util in
   let log_r, row_r, wall_s_reopt, n_rounds = run_cell ~mode:Reopt ~k ~horizon ~util in
   let explain name (la, ra) (lb, rb) =
     if not (String.equal la lb) then begin
@@ -365,15 +367,17 @@ let run_e2e ~k ~horizon ~util =
     end
     else true
   in
-  (* The hard invariant is reopt == cold (bit-identical flow resets).
-     The legacy run pins the classic solver, which may break ties
-     between equally-cheap augmenting paths differently
-     (lib/flow/mcmf.mli), so it is timed but not byte-compared. *)
-  let identical = explain "reopt-vs-cold" (log_c, row_c) (log_r, row_r) in
+  (* The hard invariant is reopt == full rebuild with the same solver:
+     the persistent builder's patches and sparse flow resets must
+     reproduce a from-scratch network exactly.  The legacy run pins the
+     classic solver, which may break ties between equally-cheap
+     augmenting paths differently (lib/flow/mcmf.mli), so it is timed
+     but not byte-compared. *)
+  let identical = explain "reopt-vs-full" (log_f, row_f) (log_r, row_r) in
   {
     identical;
     wall_s_legacy;
-    wall_s_cold;
+    wall_s_full;
     wall_s_reopt;
     rounds_per_sec =
       (if wall_s_reopt > 0.0 then float_of_int n_rounds /. wall_s_reopt else 0.0);
@@ -414,10 +418,10 @@ let write_json path ~k ~n_jobs (m : micro_result) (p : pipeline_result)
   | None -> ()
   | Some e ->
       Printf.fprintf oc
-        "  \"e2e\": { \"identical\": %b, \"wall_s_legacy\": %.3f, \"wall_s_cold\": \
+        "  \"e2e\": { \"identical\": %b, \"wall_s_legacy\": %.3f, \"wall_s_full\": \
          %.3f, \"wall_s_reopt\": %.3f, \"rounds_per_sec\": %.1f, \
          \"end_to_end_speedup\": %.2f }\n"
-        e.identical e.wall_s_legacy e.wall_s_cold e.wall_s_reopt e.rounds_per_sec
+        e.identical e.wall_s_legacy e.wall_s_full e.wall_s_reopt e.rounds_per_sec
         e.end_to_end_speedup);
   Printf.fprintf oc "}\n";
   close_out oc
@@ -448,9 +452,9 @@ let run rounds k queue_horizon e2e_horizon e2e_util no_e2e min_speedup
     else begin
       let e = run_e2e ~k ~horizon:e2e_horizon ~util:e2e_util in
       Printf.printf
-        "  e2e (horizon %.0fs): legacy %.3fs, cold %.3fs, reopt %.3fs (%.1f rounds/s, \
+        "  e2e (horizon %.0fs): legacy %.3fs, full %.3fs, reopt %.3fs (%.1f rounds/s, \
          %.2fx vs legacy), runs %s\n"
-        e2e_horizon e.wall_s_legacy e.wall_s_cold e.wall_s_reopt e.rounds_per_sec
+        e2e_horizon e.wall_s_legacy e.wall_s_full e.wall_s_reopt e.rounds_per_sec
         e.end_to_end_speedup
         (if e.identical then "identical" else "MISMATCH");
       Some e
@@ -539,7 +543,7 @@ let cmd =
       `P
         "Measures the solve phase with the Classic and Fast SSP implementations on \
          identical instances, verifies objective identity per round and end-to-end \
-         placement identity of the re-optimizing pipeline against its escape hatches, \
+         placement identity of the re-optimizing pipeline against a full rebuild, \
          and writes a JSON report.  Methodology: docs/PERFORMANCE.md.";
       `S Manpage.s_exit_status;
       `P "0 on success, 1 if any identity check or the speedup gate failed.";

@@ -97,8 +97,6 @@ let run state_dir checkpoint_every recover crash_at scheduler mu k horizon seed 
       faults;
       resilience = None;
       incremental = true;
-      reopt = true;
-      portfolio = false;
     }
   in
   let result, csv_spec =

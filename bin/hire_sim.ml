@@ -4,7 +4,7 @@
    built from; see bench/main.ml for the full sweep. *)
 
 let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max_retries
-    solver_budget solver_steps guard no_incremental no_reopt portfolio jobs verbose csv
+    solver_budget solver_steps guard no_incremental jobs verbose csv
     trace obs_summary journal checkpoint_every =
   if trace <> None || obs_summary then Obs.set_enabled true;
   (match trace with
@@ -49,13 +49,6 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
       in
       Some (Hire.Hire_scheduler.resilience ?budget ~guard_every:guard ())
   in
-  (* The portfolio race reuses the resilience chain's accept/reject
-     machinery, so --portfolio alone installs the default (unbounded,
-     guard-free) policy. *)
-  let resilience =
-    if portfolio && resilience = None then Some (Hire.Hire_scheduler.resilience ())
-    else resilience
-  in
   let spec =
     {
       Harness.Experiment.scheduler;
@@ -69,8 +62,6 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
       faults;
       resilience;
       incremental = not no_incremental;
-      reopt = not no_reopt;
-      portfolio;
     }
   in
   Printf.printf "scheduler=%s mu=%.2f k=%d horizon=%.0fs setup=%s util=%.2f seeds=[%s]\n%!"
@@ -88,8 +79,6 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
         | None -> "none"
         | Some b -> Format.asprintf "%a" Flow.Budget.pp b)
         r.Hire.Hire_scheduler.guard_every);
-  if portfolio then
-    Printf.printf "portfolio: racing ssp + cost-scaling on OCaml 5 domains per round\n%!";
   let reports =
     let instrumented = trace <> None || obs_summary in
     match journal with
@@ -117,18 +106,24 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
           | [ _ ] -> seeds
           | _ -> failwith "--journal runs exactly one seed (pass --seeds N)")
     | None ->
-    if jobs <= 1 || List.length seeds <= 1 then Harness.Experiment.run_seeds spec seeds
+    if List.length seeds <= 1 then Harness.Experiment.run_seeds spec seeds
     else if instrumented then begin
-      (* Instrumentation (obs registry, trace ring) is process-global;
-         seed-level domain parallelism would interleave it. *)
-      Printf.eprintf
-        "hire_sim: --jobs ignored with --trace/--obs-summary (instrumentation is \
-         process-global)\n\
-         %!";
+      (* Instrumentation (obs registry, trace ring) is process-global
+         and must accumulate in this process, so seeds run in order
+         here. *)
+      if jobs > 1 then
+        Printf.eprintf
+          "hire_sim: --jobs ignored with --trace/--obs-summary (instrumentation is \
+           process-global)\n\
+           %!";
       Harness.Experiment.run_seeds spec seeds
     end
     else
-      Runner.Pool.map ~jobs ~retries:0 ~mode:Runner.Pool.Domains
+      (* One forked child per seed, whatever [jobs] is: each seed starts
+         from fresh process-global state (the HIRE_CHAOS streams), so a
+         seed's report does not depend on --jobs or on the seeds run
+         before it. *)
+      Runner.Pool.map ~jobs ~retries:0
         ~label:(fun seed -> Printf.sprintf "seed %d" seed)
         ~f:(fun seed -> Harness.Experiment.run { spec with seed })
         seeds
@@ -293,31 +288,13 @@ let no_incremental =
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
 
-let no_reopt =
-  let doc =
-    "Disable the re-optimizing solve path: undo the previous round's flow with a \
-     full arena sweep instead of the sparse touched-arc reset, and skip flow \
-     tracking.  Results are bit-identical either way (docs/PERFORMANCE.md); this \
-     is the measurement escape hatch.  No effect with $(b,--no-incremental)."
-  in
-  Arg.(value & flag & info [ "no-reopt" ] ~doc)
-
-let portfolio =
-  let doc =
-    "Race both MCMF backends (SSP and cost scaling) on OCaml 5 domains inside every \
-     scheduling round instead of trying them sequentially (docs/PARALLELISM.md).  \
-     Placements and ledgers are identical to the serial chain; only round latency \
-     changes.  Implies a default resilience policy when none is configured.  Only \
-     meaningful for flow-based schedulers."
-  in
-  Arg.(value & flag & info [ "portfolio" ] ~doc)
-
 let jobs =
   let doc =
-    "Run up to $(docv) seeds concurrently on OCaml 5 domains (docs/PARALLELISM.md).  \
-     Reports are still printed in seed order.  Ignored with $(b,--trace) or \
-     $(b,--obs-summary), whose instrumentation is process-global, and not supported \
-     together with HIRE_CHAOS."
+    "Run up to $(docv) seeds concurrently, each in its own forked process \
+     (docs/RUNNER.md).  Reports are printed in seed order and do not depend on \
+     $(docv), also under HIRE_CHAOS.  Ignored with $(b,--trace) or \
+     $(b,--obs-summary), whose instrumentation is process-global: seeds then run \
+     in order in this process."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -376,7 +353,7 @@ let cmd =
     Term.(
       const run $ scheduler $ mu $ k $ horizon $ seeds $ setup $ util $ fraction
       $ faults_flag $ mtbf $ mttr $ max_retries $ solver_budget $ solver_steps $ guard
-      $ no_incremental $ no_reopt $ portfolio $ jobs $ verbose $ csv $ trace
+      $ no_incremental $ jobs $ verbose $ csv $ trace
       $ obs_summary $ journal $ checkpoint_every)
 
 (* [~catch:false] so bad flag values (unknown scheduler/setup) and

@@ -12,15 +12,9 @@ let parse_setup = function
   | "heterogeneous" | "het" -> Sim.Cluster.Heterogeneous
   | other -> failwith (Printf.sprintf "unknown setup %S (homogeneous|heterogeneous)" other)
 
-let parse_pool = function
-  | "fork" -> Runner.Pool.Fork
-  | "domain" | "domains" -> Runner.Pool.Domains
-  | "inline" -> Runner.Pool.Inline
-  | other -> failwith (Printf.sprintf "unknown pool mode %S (fork|domain|inline)" other)
-
-let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedulers mus setups seeds k
+let sweep jobs resume no_cache state_dir cache_dir timeout retries schedulers mus setups seeds k
     horizon util fraction faults_on mtbf mttr max_retries solver_budget solver_steps
-    guard no_incremental no_reopt portfolio out quiet =
+    guard no_incremental out quiet =
   List.iter
     (fun s ->
       if not (List.mem s Schedulers.Registry.names) then
@@ -54,16 +48,6 @@ let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedule
       in
       Some (Hire.Hire_scheduler.resilience ?budget ~guard_every:guard ())
   in
-  (* The in-round portfolio race reuses the resilience chain's
-     accept/reject machinery, so --portfolio alone installs the default
-     (unbounded, guard-free) policy. *)
-  let resilience =
-    if portfolio && resilience = None then Some (Hire.Hire_scheduler.resilience ())
-    else resilience
-  in
-  let pool = parse_pool pool in
-  if pool = Runner.Pool.Domains && Sys.getenv_opt "HIRE_CHAOS" <> None then
-    failwith "--pool domain cannot run with HIRE_CHAOS set (chaos state is process-global)";
   let base =
     {
       Experiment.default with
@@ -74,8 +58,6 @@ let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedule
       faults;
       resilience;
       incremental = not no_incremental;
-      reopt = not no_reopt;
-      portfolio;
     }
   in
   let specs = Experiment.sweep base ~schedulers ~mus ~setups ~seeds in
@@ -96,7 +78,7 @@ let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedule
         Printf.sprintf ", cache %s (%s)" (Runner.Cache.dir c)
           (if resume then "resume" else "overwrite"));
   let outcomes, stats =
-    Runner.run ~jobs ?timeout ~retries ?cache ~resume ~mode:pool ~key:Experiment.cell_key
+    Runner.run ~jobs ?timeout ~retries ?cache ~resume ~key:Experiment.cell_key
       ~label:Experiment.describe ~log ~f:Experiment.run specs
   in
   let rows =
@@ -136,18 +118,8 @@ let sweep jobs pool resume no_cache state_dir cache_dir timeout retries schedule
 open Cmdliner
 
 let jobs =
-  let doc = "Concurrent workers (forked children, or domains with $(b,--pool) domain)." in
+  let doc = "Concurrent workers (forked children, one per cell)." in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let pool =
-  let doc =
-    "Worker pool flavor (docs/PARALLELISM.md): $(b,fork) (default) runs each cell in an \
-     isolated forked child with enforceable timeouts; $(b,domain) runs cells on a pool \
-     of OCaml 5 domains inside this process — no fork/marshalling cost, but no \
-     isolation, $(b,--timeout) is ignored, and HIRE_CHAOS is rejected; $(b,inline) \
-     runs cells sequentially in-process."
-  in
-  Arg.(value & opt string "fork" & info [ "pool" ] ~docv:"MODE" ~doc)
 
 let resume =
   let doc =
@@ -259,24 +231,6 @@ let no_incremental =
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
 
-let no_reopt =
-  let doc =
-    "Disable the re-optimizing solve path in every cell: full arena flow sweep \
-     between rounds instead of the sparse touched-arc reset.  Results are \
-     bit-identical either way (docs/PERFORMANCE.md), but the flag changes the \
-     cells' cache keys.  No effect with $(b,--no-incremental)."
-  in
-  Arg.(value & flag & info [ "no-reopt" ] ~doc)
-
-let portfolio =
-  let doc =
-    "Race both MCMF backends on OCaml 5 domains inside every HIRE scheduling round \
-     (docs/PARALLELISM.md).  Placements and deterministic report fields are identical \
-     to the serial chain; raced cells get their own cache keys.  Implies a default \
-     resilience policy when none is configured."
-  in
-  Arg.(value & flag & info [ "portfolio" ] ~doc)
-
 let out =
   let doc = "CSV output file (one row per cell, enumeration order)." in
   Arg.(value & opt string (Filename.concat "results" "sweep_results.csv")
@@ -305,10 +259,10 @@ let cmd =
   Cmd.v
     (Cmd.info "hire_sweep" ~version:"1.0" ~doc ~man)
     Term.(
-      const sweep $ jobs $ pool $ resume $ no_cache $ state_dir $ cache_dir $ timeout $ retries
+      const sweep $ jobs $ resume $ no_cache $ state_dir $ cache_dir $ timeout $ retries
       $ schedulers $ mus $ setups $ seeds $ k $ horizon $ util $ fraction $ faults_flag
       $ mtbf $ mttr $ max_retries $ solver_budget $ solver_steps $ guard $ no_incremental
-      $ no_reopt $ portfolio $ out $ quiet)
+      $ out $ quiet)
 
 (* [~catch:false] so bad arguments surface as our one-line error + exit 1
    instead of cmdliner's "internal error" backtrace. *)

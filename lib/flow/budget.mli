@@ -17,16 +17,7 @@
 
     The chaos harness ({!Chaos}) can force exhaustion or handicap the
     wall clock of a budgeted solve; unbudgeted solves are never touched,
-    so exact-solver tests stay exact even with [HIRE_CHAOS] set.
-
-    {b Concurrency.} A {!state} is owned by exactly one domain — the one
-    running the solve — and its fields are plain mutable cells.  The one
-    cross-domain channel is the optional cancellation flag passed to
-    {!start}: any other domain may set that [bool Atomic.t] at any time,
-    and the owning solve observes it at its next {!check} (the same
-    step-granular hook that detects wall/step exhaustion) and stops with
-    {!Cancelled}.  This is how the portfolio race ({!Portfolio},
-    docs/PARALLELISM.md) tells losing backends to stop. *)
+    so exact-solver tests stay exact even with [HIRE_CHAOS] set. *)
 
 type t = {
   max_wall_s : float option;  (** monotonic wall-clock cap, seconds *)
@@ -45,22 +36,15 @@ type reason =
   | Wall_clock of float  (** the wall cap, seconds *)
   | Steps of int  (** the step cap *)
   | Chaos  (** {!Chaos} forced exhaustion *)
-  | Cancelled  (** the {!start} cancellation flag was set by another domain *)
 
 val pp_reason : Format.formatter -> reason -> unit
 
-(** Mutable per-solve accounting; create one with {!start} at the top of
-    each solve (or hand a pre-started state to the solver via its [?ctl]
-    parameter).  Owned by the solving domain; never share one state
-    between domains. *)
+(** Mutable per-solve accounting; the solvers create one with {!start}
+    at the top of each budgeted solve. *)
 type state
 
-(** [start ?cancel budget] begins accounting.  [cancel], when given, is
-    an externally owned atomic flag: once any domain sets it to [true],
-    the next {!check} on this state reports {!Cancelled} (sticky, like
-    every other exhaustion verdict).  Setting the flag is the only
-    operation on a running solve that is safe from another domain. *)
-val start : ?cancel:bool Atomic.t -> t -> state
+(** [start budget] begins accounting. *)
+val start : t -> state
 
 (** [spend st n] records [n] solver steps. *)
 val spend : state -> int -> unit
@@ -77,8 +61,6 @@ val force_exhaustion : state -> unit
 
 (** [check st] is [Some reason] once the budget is exhausted (sticky),
     [None] while within budget.  Checks, in order: a sticky prior
-    verdict, chaos forcing, the cancellation flag, the step cap, the
-    wall cap.  Reads the monotonic clock only when a wall cap is
-    actually set, and the cancellation atomic only when one was given
-    to {!start}. *)
+    verdict, chaos forcing, the step cap, the wall cap.  Reads the
+    monotonic clock only when a wall cap is actually set. *)
 val check : state -> reason option

@@ -9,9 +9,11 @@ let string_seed s =
 (* Draws come from named streams, each its own [Rng.t] seeded by
    mix(seed, name).  A stream's draw sequence then depends only on how
    many draws *that stream* has made — not on what any other stream did
-   in between — which is what lets the portfolio race replay the serial
-   chain's chaos decisions exactly (docs/PARALLELISM.md).  Streams are
-   created on first use; only the coordinator domain ever draws. *)
+   in between — so one injection site's decisions never shift because
+   another site drew more or less often.  Streams are created on first
+   use.  The state is process-global and unsynchronised: a process runs
+   at most one simulation at a time (the runner forks one child per
+   cell). *)
 type t = { seed : int; mutable streams : (string * Rng.t) list }
 
 (* [None] until the first query, then the resolved state; [activate] and

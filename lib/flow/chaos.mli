@@ -22,11 +22,9 @@
     (["solve.ssp"], ["solve.cost-scaling"], ["corrupt"], …), each seeded
     by mixing the chaos seed with the stream name.  A stream's sequence
     therefore depends only on how many draws that stream has made, not
-    on interleaving with other sites — the property that lets the
-    portfolio race ({!Portfolio}) replay the serial fallback chain's
-    chaos decisions exactly (docs/PARALLELISM.md).  Only the
-    coordinator domain may draw; racing solver domains never touch
-    chaos state.
+    on interleaving with other sites.  The state is process-global and
+    unsynchronised, so seeds that run concurrently must run in separate
+    processes (the fork pool of lib/runner).
 
     Scope: chaos only ever touches {e budgeted} solves and {e guarded}
     rounds — code that opted into the resilience layer.  Plain
@@ -53,9 +51,8 @@ val deactivate : unit -> unit
     budget spent ({!Budget.force_exhaustion}), and independently with
     probability ~1/4 return an artificial delay (seconds, up to 2ms) to
     age its wall budget by ({!Budget.inject_delay}).  [(false, 0.)] when
-    chaos is off.  Backends draw for themselves on serial budgeted
-    solves; in a portfolio race the coordinator draws on the backend's
-    behalf during replay, in the same per-stream order. *)
+    chaos is off.  Each backend draws for itself at the top of every
+    budgeted solve. *)
 val draw_solve : backend:string -> bool * float
 
 (** [corrupt_solution g] flips the flow of one randomly chosen forward

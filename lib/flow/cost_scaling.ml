@@ -21,15 +21,13 @@ type result = {
    the graph's flow (a mid-run pseudoflow is not salvageable). *)
 exception Exhausted of Budget.reason
 
-let solve ?(alpha = 8) ?budget ?ctl g =
+let solve ?(alpha = 8) ?budget g =
   if alpha < 2 then invalid_arg "Cost_scaling.solve: alpha must be >= 2";
   let t0 = Clock.now () in
-  (* As in [Mcmf.solve]: an external [ctl] (portfolio race) supplies the
-     budget state and retains chaos ownership in the coordinator. *)
-  let external_ctl = ctl <> None in
-  let bstate = match ctl with Some _ -> ctl | None -> Option.map Budget.start budget in
+  (* As in [Mcmf.solve]: chaos only ever perturbs budgeted solves. *)
+  let bstate = Option.map Budget.start budget in
   (match bstate with
-  | Some st when (not external_ctl) && Chaos.enabled () ->
+  | Some st when Chaos.enabled () ->
       let forced, d = Chaos.draw_solve ~backend:"cost-scaling" in
       if forced then Budget.force_exhaustion st;
       if d > 0.0 then Budget.inject_delay st d

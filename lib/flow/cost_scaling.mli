@@ -1,9 +1,9 @@
 (** Cost-scaling min-cost flow (Goldberg–Tarjan ε-relaxation with
     push/relabel), the algorithm family used by Firmament's fastest
-    solver.  The paper's artifact runs several MCMF solvers in parallel
-    and takes the fastest; this module provides the second algorithm for
-    the same role (and for cross-checking — both must produce flows of
-    identical cost).
+    solver.  It is the second backend next to {!Mcmf}: the primary of
+    the [hire-scaling] scheduler, a rung of the resilience fallback
+    chain, and a cross-check (both must produce flows of identical
+    cost).
 
     The solver works on integer costs and capacities.  To guarantee a
     feasible circulation on arbitrary instances, it routes any
@@ -32,18 +32,11 @@ type result = {
           when [Obs.enabled ()] held during the solve *)
 }
 
-(** [solve ?alpha ?budget ?ctl g] runs cost scaling with scale factor
+(** [solve ?alpha ?budget g] runs cost scaling with scale factor
     [alpha] (default 8).  Arc flows of [g] are left at the optimum.
     [budget] bounds the solve (checked at phase and discharge
     boundaries; pushes and relabels are the step currency); on
     exhaustion the flow is reset to zero and the result is flagged
     [degraded].  Without a budget the chaos harness never touches the
-    solve.
-
-    [ctl] takes precedence over [budget]: the solve uses this externally
-    prepared {!Budget.state} (typically carrying a cancellation flag)
-    and performs no chaos draws — the portfolio-race coordinator owns
-    both; see {!Mcmf.solve} and docs/PARALLELISM.md.  Like SSP, the
-    solve reads the obs flag once at entry and is safe to run on a
-    racing domain. *)
-val solve : ?alpha:int -> ?budget:Budget.t -> ?ctl:Budget.state -> Graph.t -> result
+    solve. *)
+val solve : ?alpha:int -> ?budget:Budget.t -> Graph.t -> result

@@ -283,32 +283,6 @@ let release t mk =
   Array.blit mk.mk_supply 0 t.supply_arr 0 mk.mk_n;
   t.n_negative <- mk.mk_n_negative
 
-(* Deep snapshot: same node/arc ids, fully private arrays.  Arrays are
-   trimmed to the live prefix so a snapshot of a small round taken from
-   a large reused arena stays small; mutating either copy (including
-   solving on it, which moves residual capacities) never shows through
-   to the other. *)
-let copy t =
-  {
-    n = t.n;
-    m = t.m;
-    head = Array.sub t.head 0 t.n;
-    supply_arr = Array.sub t.supply_arr 0 t.n;
-    next = Array.sub t.next 0 t.m;
-    to_ = Array.sub t.to_ 0 t.m;
-    cap = Array.sub t.cap 0 t.m;
-    cost_arr = Array.sub t.cost_arr 0 t.m;
-    orig_cap = Array.sub t.orig_cap 0 t.m;
-    n_negative = t.n_negative;
-    (* Tracking is a property of the persistent arena, not of private
-       snapshots (which are solved and discarded). *)
-    track = false;
-    touched = [||];
-    n_touched = 0;
-    tflag = Bytes.empty;
-    cost_ub = t.cost_ub;
-  }
-
 let iter_out t v f =
   check_node t v "iter_out";
   let a = ref t.head.(v) in

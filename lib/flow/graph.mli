@@ -69,16 +69,6 @@ val push : t -> arc -> int -> unit
     @raise Invalid_argument if [a] is not a forward arc. *)
 val corrupt_flow : t -> arc -> int -> unit
 
-(** [copy t] is a deep, fully private snapshot of [t]: identical node
-    and arc ids, supplies, costs, capacities and current flow, but no
-    shared backing arrays — mutating one side (including solving, which
-    moves residual capacities) never shows through to the other.  This
-    is the immutability contract of the portfolio race
-    (docs/PARALLELISM.md): the coordinator takes one [copy] per racing
-    backend, hands each domain its own, and never touches the source
-    graph while domains run. *)
-val copy : t -> t
-
 (** {2 In-place patching}
 
     Primitives used by the incremental network builder
@@ -150,8 +140,7 @@ val reset_flow : t -> unit
     {!corrupt_flow}) records its arc pair once, so undoing a solve
     costs time proportional to the arcs the solve actually used instead
     of the arena size.  The persistent network builder
-    (lib/hire/flow_network.ml) turns this on for its long-lived graph;
-    {!copy} snapshots never inherit it. *)
+    (lib/hire/flow_network.ml) turns this on for its long-lived graph. *)
 
 (** [set_flow_tracking t on] enables or disables touched-pair
     recording.  Disabling discards the pending record. *)

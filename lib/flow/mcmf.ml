@@ -34,8 +34,6 @@ let bucket_cost_limit = 1 lsl 16
 (* Reusable solver workspace.  Arrays are grown (never shrunk) to the
    instance size, so a scheduler that solves a similarly-sized network
    every round allocates nothing on the hot path after warm-up.
-   [pot_nodes] records for how many nodes [pot] holds the potentials of
-   a completed solve; -1 means the potentials are garbage.
 
    [dist]/[parent] entries are valid only where [stamp] holds the
    current [gen] — bumping [gen] invalidates both arrays in O(1),
@@ -53,7 +51,6 @@ type scratch = {
   mutable n_sources : int;
   heap : Heap.Int_pair.t;
   bucket : Bucket_queue.t;
-  mutable pot_nodes : int;
 }
 
 let scratch () =
@@ -70,7 +67,6 @@ let scratch () =
     n_sources = 0;
     heap = Heap.Int_pair.create ();
     bucket = Bucket_queue.create ();
-    pot_nodes = -1;
   }
 
 let ensure_scratch s n =
@@ -84,8 +80,7 @@ let ensure_scratch s n =
     s.settled <- Array.make cap 0;
     s.sources <- Array.make cap 0;
     (* Fresh stamps read as stale for any positive generation. *)
-    s.gen <- max 1 s.gen;
-    s.pot_nodes <- -1
+    s.gen <- max 1 s.gen
   end
 
 (* SPFA (queue-based Bellman–Ford) from every positive-excess node; used
@@ -277,41 +272,17 @@ let dijkstra_fast_bucket g s =
   done;
   !target
 
-(* Carried-over potentials are usable only if every residual arc still
-   has non-negative reduced cost — otherwise Dijkstra's clamp would
-   silently distort path costs.  O(n + m) scan. *)
-let warm_potentials_valid g pot =
-  let n = Graph.node_count g in
-  let ok = ref true in
-  let v = ref 0 in
-  while !ok && !v < n do
-    Graph.iter_out g !v (fun a ->
-        if !ok && Graph.residual_cap g a > 0 then begin
-          let u = Graph.dst g a in
-          if Graph.cost g a + pot.(!v) - pot.(u) < 0 then ok := false
-        end);
-    incr v
-  done;
-  !ok
-
-let solve ?budget ?ctl ?scratch:s ?(warm = false) ?(algo = Fast) g =
+let solve ?budget ?scratch:s ?(algo = Fast) g =
   let t0 = Clock.now () in
-  (* [ctl] is an externally prepared budget state (portfolio race): the
-     coordinator owns it — and owns chaos, drawing on this backend's
-     behalf during replay — so the solve itself must not draw.  Without
-     [ctl], chaos only ever perturbs budgeted solves: an unbudgeted
-     caller has no degraded path to absorb it. *)
-  let external_ctl = ctl <> None in
-  let bstate = match ctl with Some _ -> ctl | None -> Option.map Budget.start budget in
+  (* Chaos only ever perturbs budgeted solves: an unbudgeted caller has
+     no degraded path to absorb it. *)
+  let bstate = Option.map Budget.start budget in
   (match bstate with
-  | Some st when (not external_ctl) && Chaos.enabled () ->
+  | Some st when Chaos.enabled () ->
       let forced, d = Chaos.draw_solve ~backend:"ssp" in
       if forced then Budget.force_exhaustion st;
       if d > 0.0 then Budget.inject_delay st d
   | _ -> ());
-  (* Read the obs flag exactly once: a solve running on a racing domain
-     is spawned with obs quiesced and must never emit, even if the
-     coordinator re-enables obs while the domain still runs. *)
   let instrument = Obs.enabled () in
   let t_spfa = ref 0.0 and t_dijkstra = ref 0.0 and t_augment = ref 0.0 in
   let staged acc f =
@@ -339,22 +310,16 @@ let solve ?budget ?ctl ?scratch:s ?(warm = false) ?(algo = Fast) g =
   for v = 0 to n - 1 do
     excess.(v) <- Graph.supply g v
   done;
-  (* Potentials: reuse last round's when requested and still valid,
-     otherwise start from zero and bootstrap with SPFA only if the
-     graph actually has a negative-cost arc (tracked by the graph, no
-     O(m) rescan here). *)
-  let warm_requested = warm && s.pot_nodes = n in
-  let warm_hit = warm_requested && warm_potentials_valid g pot in
-  if not warm_hit then begin
-    Array.fill pot 0 n 0;
-    if Graph.has_negative_cost g then begin
-      let bf = staged t_spfa (fun () -> spfa g excess) in
-      for v = 0 to n - 1 do
-        if bf.(v) < infinity_dist then pot.(v) <- bf.(v)
-      done
-    end
+  (* Potentials start from zero and are bootstrapped with SPFA only if
+     the graph actually has a negative-cost arc (tracked by the graph,
+     no O(m) rescan here). *)
+  Array.fill pot 0 n 0;
+  if Graph.has_negative_cost g then begin
+    let bf = staged t_spfa (fun () -> spfa g excess) in
+    for v = 0 to n - 1 do
+      if bf.(v) < infinity_dist then pot.(v) <- bf.(v)
+    done
   end;
-  s.pot_nodes <- -1;
   (* Queue selection for the fast path: bucket Dijkstra when all costs
      are non-negative and bounded (both always true for the HIRE cost
      model, whose scaled terms top out at the 6×cost_scale sentinel),
@@ -364,9 +329,6 @@ let solve ?budget ?ctl ?scratch:s ?(warm = false) ?(algo = Fast) g =
   in
   if instrument then begin
     if scratch_reused then Obs.Registry.incr (Obs.Registry.counter "flow.scratch_reuse");
-    if warm then
-      Obs.Registry.incr
-        (Obs.Registry.counter (if warm_hit then "flow.warm_hit" else "flow.warm_miss"));
     if algo = Fast then
       Obs.Registry.incr
         (Obs.Registry.counter (if use_bucket then "flow.queue.bucket" else "flow.queue.heap"))
@@ -506,10 +468,6 @@ let solve ?budget ?ctl ?scratch:s ?(warm = false) ?(algo = Fast) g =
                   if remaining_supply () = 0 then continue_ := false)
         end
       done);
-  (* The potentials of a completed (even budget-truncated) solve are
-     valid for this graph size; record that so a warm caller can try to
-     reuse them next round. *)
-  s.pot_nodes <- n;
   let degraded = !exhausted <> None in
   if degraded && instrument then begin
     Obs.Registry.incr (Obs.Registry.counter "flow.budget_exhausted");
@@ -529,7 +487,6 @@ let solve ?budget ?ctl ?scratch:s ?(warm = false) ?(algo = Fast) g =
       arcs = Graph.arc_count g;
       augmentations = !augmentations;
       scratch_reused;
-      warm_start = warm_hit;
       stages =
         (if instrument then
            [ ("spfa", !t_spfa); ("dijkstra", !t_dijkstra); ("augment", !t_augment) ]

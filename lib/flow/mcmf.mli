@@ -44,13 +44,7 @@ type result = {
     and the Dijkstra heap.  Pass the same scratch to successive [solve]
     calls on similarly-sized graphs and the solver allocates nothing on
     the hot path after the first round.  Reusing scratch never changes
-    results — the workspace is (re)initialised at every solve.
-
-    A scratch is {e domain-local} state: it may migrate between domains
-    across solves (the portfolio race hands it to the SSP domain and
-    takes it back at join, with happens-before provided by
-    [Domain.spawn]/[join]), but must never be used by two concurrent
-    solves. *)
+    results — the workspace is (re)initialised at every solve. *)
 type scratch
 
 val scratch : unit -> scratch
@@ -73,41 +67,19 @@ val scratch : unit -> scratch
     the measured baseline for bench_reopt (docs/PERFORMANCE.md). *)
 type algo = Classic | Fast
 
-(** [solve ?budget ?ctl ?scratch ?warm ?algo g] computes a min-cost max-flow
+(** [solve ?budget ?scratch ?algo g] computes a min-cost max-flow
     on [g], mutating arc flows in place.  Supplies/demands are read from
     the graph's node supplies.  [budget] bounds the solve (checked
     before every augmentation); without one the solve runs to
     completion and [degraded] is always [false] — and the chaos harness
     never touches the solve.
 
-    [ctl], when given, takes precedence over [budget]: the solve uses
-    this externally prepared {!Budget.state} (typically carrying a
-    cancellation flag, see {!Budget.start}) instead of starting its own,
-    and performs {e no} chaos draws — the caller owns both the budget
-    state and the chaos stream.  This is the entry point the portfolio
-    race ({!Portfolio}, docs/PARALLELISM.md) uses to run the solver on
-    another domain while retaining cancellation and deterministic-chaos
-    control in the coordinator.
-
-    The solve itself is single-domain but safe to run {e on} any domain:
-    it touches only [g], its scratch, its budget state (all owned by the
-    calling domain) and reads the obs flag once at entry, emitting
-    nothing when obs was quiesced at that point.
-
     [scratch] provides a reusable workspace (exact; see {!scratch}).
-    [warm] (default [false]) additionally carries the node potentials of
-    the previous solve in [scratch] into this one when a reduced-cost
-    scan proves them still valid.  Warm potentials can change which of
-    several {e equally-cheap} shortest paths Dijkstra prefers, so warm
-    starts preserve objective values but not necessarily tie-breaks;
-    leave it off when bit-identical placements matter.
 
     [algo] (default [Fast]) selects the implementation; see {!algo}. *)
 val solve :
   ?budget:Budget.t ->
-  ?ctl:Budget.state ->
   ?scratch:scratch ->
-  ?warm:bool ->
   ?algo:algo ->
   Graph.t ->
   result

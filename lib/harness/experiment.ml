@@ -12,8 +12,6 @@ type spec = {
   faults : Faults.spec option;
   resilience : Hire.Hire_scheduler.resilience option;
   incremental : bool;
-  reopt : bool;
-  portfolio : bool;
 }
 
 let default =
@@ -29,8 +27,6 @@ let default =
     faults = None;
     resilience = None;
     incremental = true;
-    reopt = true;
-    portfolio = false;
   }
 
 (* Build the whole world of a spec — cluster, workload, scheduler, fault
@@ -63,7 +59,7 @@ let prepare ?config spec =
   let scenario = Sim.Scenario.build store scenario_rng ~mu:spec.mu jobs in
   let sched =
     Schedulers.Registry.create ?resilience:spec.resilience ~incremental:spec.incremental
-      ~reopt:spec.reopt ~portfolio:spec.portfolio spec.scheduler ~seed:spec.seed cluster
+      spec.scheduler ~seed:spec.seed cluster
   in
   let faults_plan =
     Option.map
@@ -99,8 +95,8 @@ module Dec = Prelude.Codec.Dec
 
 (* Bump on any wire-format change; old journals then fail closed with a
    version error instead of being misdecoded.  v2 added the [reopt]
-   flag. *)
-let spec_blob_version = 2
+   flag; v3 dropped it together with the [portfolio] flag. *)
+let spec_blob_version = 3
 
 let enc_setup e = function
   | Sim.Cluster.Homogeneous -> Enc.byte e 0
@@ -168,8 +164,6 @@ let spec_to_blob spec =
   Enc.option e enc_faults spec.faults;
   Enc.option e enc_resilience spec.resilience;
   Enc.bool e spec.incremental;
-  Enc.bool e spec.reopt;
-  Enc.bool e spec.portfolio;
   Enc.to_string e
 
 let spec_of_blob blob =
@@ -190,8 +184,6 @@ let spec_of_blob blob =
   let faults = Dec.option d dec_faults in
   let resilience = Dec.option d dec_resilience in
   let incremental = Dec.bool d in
-  let reopt = Dec.bool d in
-  let portfolio = Dec.bool d in
   if not (Dec.at_end d) then
     raise (Prelude.Codec.Error "trailing bytes after spec blob");
   {
@@ -206,8 +198,6 @@ let spec_of_blob blob =
     faults;
     resilience;
     incremental;
-    reopt;
-    portfolio;
   }
 
 let mean_over f reports = Prelude.Stats.mean (List.map f reports)
@@ -238,9 +228,7 @@ let describe spec =
     spec.k spec.seed
     (match spec.faults with None -> "" | Some _ -> " +faults")
     ^ (match spec.resilience with None -> "" | Some _ -> " +resilience")
-    ^ (if spec.portfolio then " +portfolio" else "")
-    ^ (if spec.incremental then "" else " -incremental")
-    ^ if spec.reopt then "" else " -reopt"
+    ^ if spec.incremental then "" else " -incremental"
 
 (* Bump when the meaning of a cell changes without its spec changing
    (simulator semantics, trace generator, metrics definitions, ...) so
@@ -288,12 +276,4 @@ let cell_key spec =
      the default (on) keeps the historical key; only the explicit
      escape hatch gets its own cells. *)
   if not spec.incremental then addf "|incremental=off";
-  (* Same discipline for the re-optimizing solve path: bit-identical by
-     construction, so only the explicit escape hatch gets new cells. *)
-  if not spec.reopt then addf "|reopt=off";
-  (* The portfolio race replays the serial chain's decisions exactly, so
-     its reports match serial cells — but only for deterministic fields
-     (solver wall times differ), so raced cells get their own keys.
-     Opt-in segment: portfolio-off sweeps keep their historical keys. *)
-  if spec.portfolio then addf "|portfolio=on";
   Digest.to_hex (Digest.string (Buffer.contents b))

@@ -34,21 +34,6 @@ type spec = {
           (docs/PERFORMANCE.md).  Results are bit-identical either way,
           so the default keeps the historical cache key; [false] — the
           verification escape hatch — gets separate cells. *)
-  reopt : bool;
-      (** [true] (the default) additionally makes the persistent builder
-          undo the previous round's flow sparsely, via touched-arc
-          tracking, instead of sweeping the whole arena
-          (docs/PERFORMANCE.md).  Bit-identical either way and ignored
-          without [incremental]; like [incremental], the default keeps
-          the historical cache key and only the [--no-reopt] escape
-          hatch gets separate cells. *)
-  portfolio : bool;
-      (** race the MCMF backends on OCaml 5 domains inside each HIRE
-          round (docs/PARALLELISM.md); effective only together with
-          [resilience].  Placements and deterministic report fields
-          match the serial chain, but solver wall times differ, so
-          [true] gets its own cache cells; [false] (the default) keeps
-          the historical keys. *)
 }
 
 val default : spec

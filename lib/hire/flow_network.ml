@@ -126,7 +126,6 @@ type prefix = {
 
 type builder = {
   g : Graph.t;
-  reopt : bool;  (* sparse touched-arc flow resets on the patch path *)
   mutable roles : int array;  (* packed node roles, -1 = none *)
   mutable valid_n : int;  (* nodes with meaningful roles this round *)
   mutable prefix : prefix option;
@@ -152,15 +151,13 @@ type builder = {
   mutable last_reset : int;  (* arc pairs whose flow the pre-patch reset undid *)
 }
 
-let create_builder ?(reopt = false) () =
+let create_builder () =
   let g = Graph.create ~node_hint:1024 ~arc_hint:8192 () in
-  (* With re-optimization on, the graph records which arc pairs each
-     solve moves flow on, so the next patch undoes only those instead of
-     sweeping the whole arena. *)
-  Graph.set_flow_tracking g reopt;
+  (* The graph records which arc pairs each solve moves flow on, so the
+     next patch undoes only those instead of sweeping the whole arena. *)
+  Graph.set_flow_tracking g true;
   {
     g;
-    reopt;
     roles = [||];
     valid_n = 0;
     prefix = None;
@@ -509,15 +506,10 @@ let patch_prefix b (view : View.t) p d ~big ~(params : Cost_model.params) touche
   let g = b.g in
   let topo = view.topo in
   Graph.release g p.mark;
-  (* Undo last round's flow (and any chaos corruption) on prefix arcs:
-     sparsely via the graph's touched-pair record when re-optimizing,
-     otherwise a full arena sweep.  Bit-identical end state either
-     way (Graph.reset_touched_flows contract). *)
-  if b.reopt then b.last_reset <- Graph.reset_touched_flows g
-  else begin
-    Graph.reset_flows g;
-    b.last_reset <- Graph.arc_count g
-  end;
+  (* Undo last round's flow (and any chaos corruption) on prefix arcs
+     sparsely via the graph's touched-pair record — bit-identical to a
+     full arena sweep (Graph.reset_touched_flows contract). *)
+  b.last_reset <- Graph.reset_touched_flows g;
   if p.big <> big then begin
     for i = 0 to b.n_big - 1 do
       Graph.set_cap g b.big_arcs.(i) big
@@ -818,16 +810,13 @@ let solver_name = function
   | Ssp_classic -> "ssp-classic"
   | Cost_scaling -> "cost-scaling"
 
-(* Module-level solve usable on any graph carrying this network's node
-   ids — the builder's own graph or a private [Graph.copy] snapshot (the
-   portfolio race).  [ctl] is forwarded to the backend as its prepared
-   budget state (see Mcmf.solve). *)
-let solve_graph ?(solver = Ssp) ?budget ?ctl ?scratch ?warm g =
+let solve_only ?(solver = Ssp) ?budget ?scratch t =
+  let g = t.b.g in
   match solver with
-  | Ssp -> Mcmf.solve ?budget ?ctl ?scratch ?warm g
-  | Ssp_classic -> Mcmf.solve ~algo:Mcmf.Classic ?budget ?ctl ?scratch ?warm g
+  | Ssp -> Mcmf.solve ?budget ?scratch g
+  | Ssp_classic -> Mcmf.solve ~algo:Mcmf.Classic ?budget ?scratch g
   | Cost_scaling ->
-      let r = Flow.Cost_scaling.solve ?budget ?ctl g in
+      let r = Flow.Cost_scaling.solve ?budget g in
       {
         Mcmf.shipped = r.Flow.Cost_scaling.shipped;
         unshipped = r.Flow.Cost_scaling.unshipped;
@@ -838,12 +827,9 @@ let solve_graph ?(solver = Ssp) ?budget ?ctl ?scratch ?warm g =
         profile = r.Flow.Cost_scaling.profile;
       }
 
-let solve_only ?solver ?budget ?ctl ?scratch ?warm t =
-  solve_graph ?solver ?budget ?ctl ?scratch ?warm t.b.g
-
-let extract_on t ~graph ~solver =
+let extract t ~solver =
   let extract_t0 = if Obs.enabled () then Prelude.Clock.now () else 0.0 in
-  let paths = Mcmf.decompose graph in
+  let paths = Mcmf.decompose t.b.g in
   let placements = ref [] and flavor_picks = ref [] in
   List.iter
     (fun (p : Mcmf.path) ->
@@ -882,8 +868,6 @@ let extract_on t ~graph ~solver =
       ];
   { placements = List.rev !placements; flavor_picks = List.rev !flavor_picks; solver }
 
-let extract t ~solver = extract_on t ~graph:t.b.g ~solver
-
-let solve_and_extract ?solver ?budget ?scratch ?warm t =
-  let solver = solve_only ?solver ?budget ?scratch ?warm t in
+let solve_and_extract ?solver ?budget ?scratch t =
+  let solver = solve_only ?solver ?budget ?scratch t in
   extract t ~solver

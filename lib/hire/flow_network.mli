@@ -53,22 +53,19 @@ type t
     ran. *)
 type builder
 
-(** [create_builder ?reopt ()] makes a fresh builder.  With [reopt]
-    (default [false]) the builder's graph records which arc pairs each
-    solve touches ({!Flow.Graph.set_flow_tracking}), so the patch path
-    undoes the previous round's flow in time proportional to the arcs
-    the solve actually used instead of the arena size.  The reset is
-    bit-identical to the full sweep, so [reopt] never changes
-    placements — it is an escape hatch ([--no-reopt]) for measurement,
-    not a behaviour switch. *)
-val create_builder : ?reopt:bool -> unit -> builder
+(** [create_builder ()] makes a fresh builder.  The builder's graph
+    records which arc pairs each solve touches
+    ({!Flow.Graph.set_flow_tracking}), so the patch path undoes the
+    previous round's flow in time proportional to the arcs the solve
+    actually used instead of the arena size.  The sparse reset is
+    bit-identical to a full sweep, so it never changes placements. *)
+val create_builder : unit -> builder
 
 (** Per-build patching statistics of the network a builder produced
     last: [touched_arcs] counts patched prefix arcs plus rebuilt suffix
     arcs ([= total_arcs] on a full rebuild); [reset_arcs] counts the arc
-    pairs whose flow the pre-patch reset actually restored (the full
-    arc count without [reopt], 0 on a full rebuild where {!clear}
-    subsumes the reset). *)
+    pairs whose flow the pre-patch reset actually restored (0 on a full
+    rebuild, where {!clear} subsumes the reset). *)
 type build_stats = {
   full : bool;
   touched_arcs : int;
@@ -111,52 +108,31 @@ type outcome = {
   solver : Flow.Mcmf.result;
 }
 
-(** Which exact MCMF algorithm solves the round (the paper's artifact
-    races several solvers; all produce flows of identical cost).
-    [Ssp_classic] pins the pre-reoptimization SSP implementation
-    ({!Flow.Mcmf.Classic}) — kept as a measured baseline for
-    [bench/bench_reopt] and end-to-end comparisons; production paths
+(** Which exact MCMF algorithm solves the round (all produce flows of
+    identical cost).  [Ssp_classic] pins the pre-reoptimization SSP
+    implementation ({!Flow.Mcmf.Classic}) — kept as a measured baseline
+    for [bench/bench_reopt] and end-to-end comparisons; production paths
     default to [Ssp], which runs the fast re-optimizing implementation
     (docs/PERFORMANCE.md). *)
 type solver = Ssp | Ssp_classic | Cost_scaling
 
 val solver_name : solver -> string
 
-(** [solve_only ?solver ?budget t] runs the MCMF solve, leaving the flow
-    on the graph, without extracting decisions.  With [budget] the solve
-    is bounded ({!Flow.Budget}); a degraded SSP result leaves a valid
-    partial flow, a degraded cost-scaling result leaves the zero flow.
-    Splitting solve from extraction lets the resilience layer run the
-    invariant guard (and the chaos harness) on the raw flow before any
-    decision is read off it.
+(** [solve_only ?solver ?budget ?scratch t] runs the MCMF solve, leaving
+    the flow on the graph, without extracting decisions.  With [budget]
+    the solve is bounded ({!Flow.Budget}); a degraded SSP result leaves
+    a valid partial flow, a degraded cost-scaling result leaves the zero
+    flow.  Splitting solve from extraction lets the resilience layer run
+    the invariant guard (and the chaos harness) on the raw flow before
+    any decision is read off it.
 
-    [scratch]/[warm] are forwarded to {!Flow.Mcmf.solve} when the SSP
-    backend runs (cost scaling ignores them): scratch reuse is exact;
-    warm starts trade tie-break stability for speed.
-
-    [ctl] forwards an externally prepared budget state to the backend
-    (overriding [budget], suppressing the backend's own chaos draws) —
-    the portfolio race's cancellation and chaos-ownership hook; see
-    {!Flow.Mcmf.solve}. *)
+    [scratch] is forwarded to {!Flow.Mcmf.solve} when an SSP backend
+    runs (cost scaling ignores it); scratch reuse is exact. *)
 val solve_only :
   ?solver:solver ->
   ?budget:Flow.Budget.t ->
-  ?ctl:Flow.Budget.state ->
   ?scratch:Flow.Mcmf.scratch ->
-  ?warm:bool ->
   t ->
-  Flow.Mcmf.result
-
-(** [solve_graph ~solver g] is {!solve_only} on an arbitrary graph
-    carrying this network's node ids — in practice a private
-    {!Flow.Graph.copy} snapshot raced by a portfolio domain. *)
-val solve_graph :
-  ?solver:solver ->
-  ?budget:Flow.Budget.t ->
-  ?ctl:Flow.Budget.state ->
-  ?scratch:Flow.Mcmf.scratch ->
-  ?warm:bool ->
-  Flow.Graph.t ->
   Flow.Mcmf.result
 
 (** [extract t ~solver] reads scheduling decisions off the flow
@@ -164,17 +140,11 @@ val solve_graph :
     cost-scaling's virtual feasibility node) are skipped. *)
 val extract : t -> solver:Flow.Mcmf.result -> outcome
 
-(** [extract_on t ~graph ~solver] is {!extract} but decomposes [graph] —
-    a snapshot sharing [t]'s node ids (e.g. a portfolio winner's private
-    copy) — while reading roles from [t]. *)
-val extract_on : t -> graph:Flow.Graph.t -> solver:Flow.Mcmf.result -> outcome
-
 (** Solve the MCMF instance and read scheduling decisions back off the
     flow decomposition: [extract t ~solver:(solve_only ?solver ?budget t)]. *)
 val solve_and_extract :
   ?solver:solver ->
   ?budget:Flow.Budget.t ->
   ?scratch:Flow.Mcmf.scratch ->
-  ?warm:bool ->
   t ->
   outcome

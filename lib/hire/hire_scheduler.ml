@@ -14,10 +14,6 @@ type config = {
   solver : Flow_network.solver;
   resilience : resilience option;
   incremental : bool;
-  reopt : bool;
-  warm_start : bool;
-  portfolio : bool;
-  portfolio_eager : bool option;
 }
 
 let default_config =
@@ -27,21 +23,7 @@ let default_config =
     solver = Flow_network.Ssp;
     resilience = None;
     incremental = true;
-    reopt = true;
-    warm_start = false;
-    portfolio = false;
-    portfolio_eager = None;
   }
-
-(* HIRE_PORTFOLIO=1 forces the portfolio race on every round that runs
-   the resilience chain (resilience = Some _); rounds without a policy
-   keep the legacy single-solve path so its outputs stay byte-identical.
-   Used by the CI matrix leg together with HIRE_CHAOS. *)
-let portfolio_env =
-  lazy
-    (match Sys.getenv_opt "HIRE_PORTFOLIO" with
-    | Some ("1" | "true" | "on") -> true
-    | _ -> false)
 
 type t = {
   view : View.t;
@@ -62,9 +44,7 @@ let create ?(config = default_config) view =
     census = Locality.Task_census.create view.View.topo;
     order = [];
     solves = 0;
-    builder =
-      (if config.incremental then Some (Flow_network.create_builder ~reopt:config.reopt ())
-       else None);
+    builder = (if config.incremental then Some (Flow_network.create_builder ()) else None);
     scratch = (if config.incremental then Some (Flow.Mcmf.scratch ()) else None);
   }
 
@@ -271,10 +251,6 @@ let build_network t ~jobs ~time ~params =
   end;
   net
 
-(* Scratch (exact) is reused whenever present; warm potentials are
-   opt-in and only meaningful for the SSP backend. *)
-let solve_opts t = (t.scratch, if t.config.warm_start then Some true else None)
-
 (* One rung of the fallback chain: rebuild the round's network (a
    previous cost-scaling attempt leaves its virtual feasibility node
    behind, so a solved network is never reused across attempts — the
@@ -286,8 +262,7 @@ let attempt_backend t ~jobs ~time ~params (r : resilience) ~backend ~trips =
   let net = build_network t ~jobs ~time ~params in
   let size = Flow_network.size net in
   t.solves <- t.solves + 1;
-  let scratch, warm = solve_opts t in
-  let solver = Flow_network.solve_only ~solver:backend ?budget:r.budget ?scratch ?warm net in
+  let solver = Flow_network.solve_only ~solver:backend ?budget:r.budget ?scratch:t.scratch net in
   if solver.Flow.Mcmf.degraded && solver.Flow.Mcmf.shipped = 0 then begin
     (* Nothing salvageable (cost-scaling aborts to the zero flow; SSP
        ran out before the first augmentation): fall through. *)
@@ -336,171 +311,6 @@ let attempt_backend t ~jobs ~time ~params (r : resilience) ~backend ~trips =
           `Reject (solver, size)
     end
   end
-
-(* Decide-side replay of [attempt_backend] for one raced entry
-   (docs/PARALLELISM.md).  The worker domain already solved its private
-   snapshot with no chaos draws and no obs emissions, so the coordinator
-   replays the serial rung procedure here — the solve counter, the
-   chaos draws on the backend's named streams, the degraded-and-empty
-   rejection, guard sampling, corruption and the guard itself — against
-   the entry's own graph.  Called from [Portfolio.race]'s [decide], i.e.
-   with obs quiesced: every obs emission is pushed onto [deferred] (in
-   serial program order) and run by the caller once obs is back. *)
-let attempt_entry t ~params (r : resilience) ~trips ~deferred ~net
-    (e : Flow.Portfolio.entry) =
-  let push f = deferred := f :: !deferred in
-  match e.Flow.Portfolio.result with
-  | None -> `Skip (* worker raised; [race] re-raises after the joins *)
-  | Some result ->
-      t.solves <- t.solves + 1;
-      (* Chaos replay: the serial solve draws from its backend's named
-         stream only when a budget is present.  The forced-exhaustion
-         emulation is exact for both backends (zero flow, nothing
-         shipped); the wall-delay draw is consumed for stream parity but
-         not retroactively applied — see docs/PARALLELISM.md. *)
-      let forced =
-        r.budget <> None
-        && Flow.Chaos.enabled ()
-        &&
-        let f, _delay = Flow.Chaos.draw_solve ~backend:e.Flow.Portfolio.name in
-        f
-      in
-      let solver =
-        if not forced then result
-        else begin
-          Flow.Graph.reset_flows e.graph;
-          {
-            result with
-            Flow.Mcmf.shipped = 0;
-            unshipped = Flow.Graph.total_positive_supply e.graph;
-            total_cost = 0;
-            augmentations = 0;
-            degraded = true;
-            profile =
-              {
-                (Obs.Solver_profile.zero ~solver:e.Flow.Portfolio.name) with
-                Obs.Solver_profile.nodes = result.Flow.Mcmf.profile.Obs.Solver_profile.nodes;
-                arcs = result.Flow.Mcmf.profile.Obs.Solver_profile.arcs;
-              };
-          }
-        end
-      in
-      (* Re-emit what the quiesced solve would have emitted itself. *)
-      push (fun () ->
-          let p = solver.Flow.Mcmf.profile in
-          if p.Obs.Solver_profile.scratch_reused then
-            Obs.Registry.incr (Obs.Registry.counter "flow.scratch_reuse");
-          if t.config.warm_start && e.Flow.Portfolio.name = "ssp" then
-            Obs.Registry.incr
-              (Obs.Registry.counter
-                 (if p.Obs.Solver_profile.warm_start then "flow.warm_hit" else "flow.warm_miss"));
-          if solver.Flow.Mcmf.degraded then begin
-            let reason =
-              if forced then Flow.Budget.Chaos
-              else
-                match Option.bind e.Flow.Portfolio.ctl Flow.Budget.check with
-                | Some reason -> reason
-                | None -> Flow.Budget.Chaos (* unreachable: degraded implies a verdict *)
-            in
-            Obs.Registry.incr (Obs.Registry.counter "flow.budget_exhausted");
-            Obs.Trace.emit "solver_degraded"
-              [
-                ("solver", Obs.Trace.Str e.Flow.Portfolio.name);
-                ("reason", Obs.Trace.Str (Format.asprintf "%a" Flow.Budget.pp_reason reason));
-                ("shipped", Obs.Trace.Int solver.Flow.Mcmf.shipped);
-              ]
-          end;
-          Obs.Solver_profile.emit p);
-      if solver.Flow.Mcmf.degraded && solver.Flow.Mcmf.shipped = 0 then begin
-        push (fun () ->
-            Obs.Registry.incr (Obs.Registry.counter "hire.resilience.budget_exhausted"));
-        `Reject solver
-      end
-      else begin
-        let guard_due = r.guard_every > 0 && t.solves mod r.guard_every = 0 in
-        if not guard_due then `Accept (Flow_network.extract_on net ~graph:e.graph ~solver, solver)
-        else begin
-          push (fun () ->
-              Obs.Registry.incr (Obs.Registry.counter "hire.resilience.guard_checks"));
-          if Flow.Chaos.enabled () then
-            ignore (Flow.Chaos.corrupt_solution e.Flow.Portfolio.graph);
-          let verdict =
-            match Guard.check_flow e.Flow.Portfolio.graph with
-            | Error v -> Error v
-            | Ok () ->
-                let outcome = Flow_network.extract_on net ~graph:e.graph ~solver in
-                let resolved = resolve_for_guard t outcome.Flow_network.placements in
-                Result.map (fun () -> outcome)
-                  (Guard.check_placements t.view ~params ~placements:resolved)
-          in
-          match verdict with
-          | Ok outcome -> `Accept (outcome, solver)
-          | Error v ->
-              incr trips;
-              let msg = Format.asprintf "%a" Guard.pp_violation v in
-              let solve_no = t.solves in
-              Printf.eprintf
-                "hire: invariant guard trip on %s (solve #%d): %s — quarantining solution\n%!"
-                e.Flow.Portfolio.name solve_no msg;
-              push (fun () ->
-                  Obs.Registry.incr (Obs.Registry.counter "hire.resilience.guard_trips");
-                  Obs.Trace.emit "guard_trip"
-                    [
-                      ("solver", Obs.Trace.Str e.Flow.Portfolio.name);
-                      ("violation", Obs.Trace.Str msg);
-                    ]);
-              `Reject solver
-        end
-      end
-
-(* Portfolio variant of the fallback chain: build the round's network
-   once, race both backends on private snapshots (Flow.Portfolio), and
-   let the deterministic-priority [decide] replay the serial accept /
-   reject procedure — so the returned value has exactly the shape and
-   content of the serial [chain], only faster.  The greedy terminal rung
-   stays on the caller's side. *)
-let portfolio_chain t ~jobs ~time ~params (r : resilience) ~trips =
-  let net = build_network t ~jobs ~time ~params in
-  let size = Flow_network.size net in
-  let budget = Option.value r.budget ~default:Flow.Budget.unlimited in
-  let scratch, warm = solve_opts t in
-  let job_of backend =
-    {
-      Flow.Portfolio.name = Flow_network.solver_name backend;
-      run =
-        (fun ~ctl g ->
-          (* The persistent SSP scratch stays domain-local: it is
-             captured only by the (single) SSP job and migrates to that
-             job's domain for the duration of the solve. *)
-          match backend with
-          | Flow_network.Ssp | Flow_network.Ssp_classic ->
-              Flow_network.solve_graph ~solver:backend ~ctl ?scratch ?warm g
-          | Flow_network.Cost_scaling -> Flow_network.solve_graph ~solver:backend ~ctl g);
-    }
-  in
-  let racers = List.map job_of [ t.config.solver; other_backend t.config.solver ] in
-  let deferred = ref [] in
-  let accepted = ref None in
-  let last = ref None in
-  let depth = ref 0 in
-  let decide _i entry =
-    match attempt_entry t ~params r ~trips ~deferred ~net entry with
-    | `Accept (outcome, solver) ->
-        accepted := Some (outcome, solver);
-        true
-    | `Reject solver ->
-        last := Some (solver, size);
-        incr depth;
-        false
-    | `Skip -> false
-  in
-  ignore
-    (Flow.Portfolio.race ?eager:t.config.portfolio_eager ~budget
-       ~source:(Flow_network.graph net) ~decide racers);
-  if Obs.enabled () then List.iter (fun f -> f ()) (List.rev !deferred);
-  match !accepted with
-  | Some (outcome, solver) -> (`Flow (outcome, solver, size), !depth)
-  | None -> (`Greedy !last, !depth)
 
 (* Total tasks the greedy rung could in principle still place — the
    denominator of its salvage ratio. *)
@@ -600,8 +410,9 @@ let run_round t ~time =
             ];
           Obs.Histogram.observe (Obs.Registry.histogram "hire.build_s") build_s
         end;
-        let scratch, warm = solve_opts t in
-        let outcome = Flow_network.solve_and_extract ~solver:t.config.solver ?scratch ?warm net in
+        let outcome =
+          Flow_network.solve_and_extract ~solver:t.config.solver ?scratch:t.scratch net
+        in
         let decisions = ref [] in
         apply_flavor_picks t ~flavor_picks:outcome.Flow_network.flavor_picks ~cancelled
           ~decisions;
@@ -628,11 +439,7 @@ let run_round t ~time =
               | `Accept (outcome, solver, size) -> (`Flow (outcome, solver, size), depth)
               | `Reject (solver, size) -> chain (depth + 1) (Some (solver, size)) rest)
         in
-        let result, depth =
-          if t.config.portfolio || Lazy.force portfolio_env then
-            portfolio_chain t ~jobs ~time ~params r ~trips
-          else chain 0 None backends
-        in
+        let result, depth = chain 0 None backends in
         let flavor_picks, raw_placements, solver_res, (nodes, arcs), used_greedy =
           match result with
           | `Flow (outcome, solver, size) ->

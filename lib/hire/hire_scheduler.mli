@@ -35,33 +35,11 @@ type config = {
       (** [true] (the default) keeps a persistent {!Flow_network.builder}
           and SSP scratch workspace across rounds: the topology part of
           the network is patched from the cluster's dirty set instead of
-          rebuilt, and solver buffers are reused.  Placements and
-          objective values are bit-identical either way; [false] is the
-          escape hatch that rebuilds everything from scratch each round. *)
-  reopt : bool;
-      (** [true] (the default) turns on the re-optimizing solve path:
-          the persistent builder's graph tracks which arc pairs each
-          solve moves flow on, and the next round's patch undoes only
-          those ({!Flow_network.create_builder}).  Requires
-          [incremental]; ignored without it.  The sparse reset is
-          bit-identical to the full sweep, so placements never depend on
-          this flag — [false] ([--no-reopt]) exists to measure the
-          optimization, not to change behaviour. *)
-  warm_start : bool;
-      (** carry SSP node potentials across rounds when still valid.
-          Off by default: warm starts preserve objective values but may
-          change tie-breaks between equally-cheap placements. *)
-  portfolio : bool;
-      (** race both MCMF backends on OCaml 5 domains instead of trying
-          them sequentially (docs/PARALLELISM.md).  Only effective with
-          a [resilience] policy installed (the race reuses the chain's
-          accept/reject procedure); placements, ledgers, and resilience
-          reports are identical to the serial chain's — only latency
-          changes.  Also forced on resilient rounds by [HIRE_PORTFOLIO=1]
-          in the environment.  Off by default. *)
-  portfolio_eager : bool option;
-      (** override {!Flow.Portfolio.race}'s spawn policy ([None] = let
-          the host's core count decide); tests force eager fan-out. *)
+          rebuilt, the previous round's flow is undone only on the arc
+          pairs the solve touched, and solver buffers are reused.
+          Placements and objective values are bit-identical either way;
+          [false] is the full build that rebuilds everything from
+          scratch each round, kept as the cross-check oracle. *)
 }
 
 val default_config : config

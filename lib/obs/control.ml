@@ -1,8 +1,4 @@
-(* The enable switch is an atomic so flipping it is well-defined across
-   domains: the portfolio race (Flow.Portfolio) quiesces obs before
-   spawning solver domains and restores it after joining them, relying
-   on spawn/join ordering plus this atomic for publication. *)
-let flag = Atomic.make false
-let enabled () = Atomic.get flag
-let set_enabled b = Atomic.set flag b
+let flag = ref false
+let enabled () = !flag
+let set_enabled b = flag := b
 let now_wall () = Unix.gettimeofday ()

@@ -7,7 +7,6 @@ type t = {
   pushes : int;
   relabels : int;
   scratch_reused : bool;
-  warm_start : bool;
   stages : (string * float) list;
   wall_s : float;
 }
@@ -22,7 +21,6 @@ let zero ~solver =
     pushes = 0;
     relabels = 0;
     scratch_reused = false;
-    warm_start = false;
     stages = [];
     wall_s = 0.0;
   }
@@ -38,7 +36,6 @@ let emit t =
        ("pushes", Trace.Int t.pushes);
        ("relabels", Trace.Int t.relabels);
        ("scratch_reused", Trace.Bool t.scratch_reused);
-       ("warm_start", Trace.Bool t.warm_start);
        ("wall_s", Trace.Float t.wall_s);
      ]
     @ List.map (fun (name, s) -> ("stage." ^ name, Trace.Float s)) t.stages);

@@ -19,7 +19,6 @@ type t = {
   pushes : int;  (** push operations (cost scaling) *)
   relabels : int;  (** relabel operations (cost scaling) *)
   scratch_reused : bool;  (** solve ran entirely in a reused workspace *)
-  warm_start : bool;  (** potentials carried over from the previous solve *)
   stages : (string * float) list;
       (** per-stage wall seconds, e.g. [("dijkstra", 0.8)]; empty when
           instrumentation was disabled during the solve *)

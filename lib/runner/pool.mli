@@ -26,21 +26,6 @@ val reason_to_string : reason -> string
     of the final attempt. *)
 type 'b cell = { result : ('b, reason) result; attempts : int; wall_s : float }
 
-(** How cells are evaluated (docs/PARALLELISM.md, docs/RUNNER.md).
-
-    - [Fork] (the default): one forked child process per cell, results
-      marshalled back over a pipe.  Full isolation: crashes are
-      contained and timeouts enforced with [SIGKILL].
-    - [Domains]: a fixed pool of OCaml 5 domains pulling cells off a
-      shared atomic counter inside {e this} process.  No fork or
-      marshalling cost and shared-memory parallelism on multicore, but
-      no isolation: timeouts are ignored, a diverging cell hangs the
-      pool, and [f] must not touch process-global mutable state — run
-      with obs off and without [HIRE_CHAOS].
-    - [Inline]: sequential in-process evaluation (the no-fork escape
-      hatch; timeouts ignored). *)
-type mode = Fork | Domains | Inline
-
 (** [map ~f items] runs [f] on every item.
 
     @param jobs concurrent worker processes (default 1; clamped to >= 1).
@@ -53,19 +38,14 @@ type mode = Fork | Domains | Inline
     @param isolate [false] runs every cell in-process (no fork): used
       when per-process instrumentation must accumulate in the caller.
       Timeouts are not enforceable in-process and are ignored; a raising
-      [f] still yields {!Child_error}.  Default [true].  Kept as the
-      historical boolean spelling of [mode]; [mode], when given, wins.
-    @param mode evaluation strategy ({!mode}); default [Fork] when
-      [isolate], [Inline] otherwise.
+      [f] still yields {!Child_error}.  Default [true].
     @param label used in [log] lines (default: the item's index).
-    @param log per-cell progress sink (default: silent).  In [Domains]
-      mode it is called from worker domains, serialized by a mutex. *)
+    @param log per-cell progress sink (default: silent). *)
 val map :
   ?jobs:int ->
   ?timeout:float ->
   ?retries:int ->
   ?isolate:bool ->
-  ?mode:mode ->
   ?label:('a -> string) ->
   ?log:(string -> unit) ->
   f:('a -> 'b) ->

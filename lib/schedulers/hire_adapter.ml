@@ -5,21 +5,8 @@ let think_of ~nodes ~arcs = 0.0005 +. (3e-7 *. float_of_int (nodes + arcs))
 
 let create ?(simple_flavor = false) ?(params = Hire.Cost_model.default_params)
     ?(solver = Hire.Flow_network.Ssp) ?(shared = true) ?resilience
-    ?(incremental = true) ?(reopt = true) ?(warm_start = false) ?(portfolio = false)
-    ?portfolio_eager ?name cluster =
-  let config =
-    {
-      Hire_scheduler.params;
-      simple_flavor;
-      solver;
-      resilience;
-      incremental;
-      reopt;
-      warm_start;
-      portfolio;
-      portfolio_eager;
-    }
-  in
+    ?(incremental = true) ?name cluster =
+  let config = { Hire_scheduler.params; simple_flavor; solver; resilience; incremental } in
   let sched = Hire_scheduler.create ~config (Sim.Cluster.view cluster) in
   let round ~time =
     let o = Hire_scheduler.run_round sched ~time in

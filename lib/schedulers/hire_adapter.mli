@@ -11,10 +11,6 @@ val create :
   ?shared:bool ->
   ?resilience:Hire.Hire_scheduler.resilience ->
   ?incremental:bool ->
-  ?reopt:bool ->
-  ?warm_start:bool ->
-  ?portfolio:bool ->
-  ?portfolio_eager:bool ->
   ?name:string ->
   Sim.Cluster.t ->
   Sim.Scheduler_intf.t

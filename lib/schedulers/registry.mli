@@ -13,22 +13,12 @@ val names : string list
     flow-based HIRE variants; the baselines ignore it.  [incremental]
     (default [true]) enables the persistent flow-network builder and
     solver-scratch reuse on the HIRE variants — results are identical
-    either way (docs/PERFORMANCE.md); [false] is the escape hatch.
-    [reopt] (default [true]) additionally makes the persistent builder
-    undo the previous round's flow sparsely via touched-arc tracking —
-    again bit-identical either way; [--no-reopt] is the measurement
-    escape hatch and is ignored without [incremental].
-    [portfolio] races the MCMF backends on OCaml 5 domains on the HIRE
-    variants (docs/PARALLELISM.md) — effective only together with a
-    [resilience] policy; [portfolio_eager] overrides the race's spawn
-    policy (tests force eager fan-out).
+    either way (docs/PERFORMANCE.md); [false] is the full build kept
+    as the cross-check oracle.
     @raise Invalid_argument on unknown names. *)
 val create :
   ?resilience:Hire.Hire_scheduler.resilience ->
   ?incremental:bool ->
-  ?reopt:bool ->
-  ?portfolio:bool ->
-  ?portfolio_eager:bool ->
   string ->
   seed:int ->
   Sim.Cluster.t ->

@@ -107,7 +107,11 @@ let recover ~dir ?(checkpoint_every = 0)
   | Journal.Source.Torn _ ->
       (* The tear is cut when the sink reopens below. *)
       if Obs.enabled () then Obs.Registry.incr (Obs.Registry.counter "journal.torn_tail"));
-  let sim = rebuild loaded.Journal.Source.header in
+  let sim =
+    try rebuild loaded.Journal.Source.header
+    with Prelude.Codec.Error msg ->
+      Journal.Error.raise_ (Journal.Error.State ("header does not decode: " ^ msg))
+  in
   let n = Array.length loaded.Journal.Source.records in
   let from_ =
     if not (Simulator.can_snapshot sim) then 0

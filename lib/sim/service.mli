@@ -76,7 +76,9 @@ type recovered = {
     [rebuild] must reconstruct the {e same} simulation from the spec
     blob that [start] wrote (same seeds, same config) — recovery
     validates rather than trusts it, and fails closed with [Divergence]
-    on any mismatch.
+    on any mismatch.  A header [rebuild] cannot decode (it raises
+    {!Prelude.Codec.Error}, e.g. a spec blob of another version) fails
+    closed with a [State] error carrying the decoder's message.
 
     [on_input] applies input records ({!Wal.Admit}/{!Wal.Inject}) to the
     rebuilt simulation at their recorded stream positions; without it, a

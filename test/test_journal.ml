@@ -410,7 +410,6 @@ let test_spec_blob_roundtrip () =
         inc_capable_fraction = None;
         faults = Some Faults.default_spec;
         incremental = false;
-        portfolio = true;
       };
       {
         Experiment.default with
@@ -437,6 +436,53 @@ let test_spec_blob_roundtrip () =
     (match Experiment.spec_of_blob (Experiment.spec_to_blob Experiment.default ^ "z") with
     | exception Codec.Error _ -> true
     | _ -> false)
+
+(* A header written before the [reopt] and [portfolio] flags were
+   dropped: the version-2 layout of the default spec, ending in the two
+   bools version 3 no longer carries. *)
+let v2_default_blob () =
+  let s = Experiment.default in
+  let e = Enc.create () in
+  Enc.uint e 2;
+  Enc.string e s.scheduler;
+  Enc.f64 e s.mu;
+  Enc.byte e 0 (* Homogeneous *);
+  Enc.uint e s.k;
+  Enc.f64 e s.horizon;
+  Enc.int e s.seed;
+  Enc.f64 e s.target_utilization;
+  Enc.option e Enc.f64 s.inc_capable_fraction;
+  Enc.option e (fun _ () -> ()) None (* faults *);
+  Enc.option e (fun _ () -> ()) None (* resilience *);
+  Enc.bool e true (* incremental *);
+  Enc.bool e true (* reopt *);
+  Enc.bool e false (* portfolio *);
+  Enc.to_string e
+
+let test_spec_blob_v2_fails_closed () =
+  let expected = "spec blob version 2, this build reads 3" in
+  Alcotest.(check string) "version error" expected
+    (match Experiment.spec_of_blob (v2_default_blob ()) with
+    | exception Codec.Error msg -> msg
+    | _ -> "decoded");
+  (* Recovering a journal whose header is a v2 blob stops with that
+     error as one structured line, before anything is replayed. *)
+  with_dir @@ fun dir ->
+  let sink =
+    Sink.create ~path:(Filename.concat dir "wal.bin") ~header:(v2_default_blob ()) ()
+  in
+  Sink.close sink;
+  let msg =
+    match
+      Sim.Service.recover ~dir
+        ~rebuild:(fun h -> Experiment.prepare (Experiment.spec_of_blob h))
+        ()
+    with
+    | exception Error.Journal_error e -> Error.to_string e
+    | _ -> Alcotest.fail "a v2 header recovered"
+  in
+  Alcotest.(check string) "one structured line" ("journal: header does not decode: " ^ expected)
+    msg
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore equivalence                                      *)
@@ -647,7 +693,11 @@ let () =
         [ quick "round-trip, fallback, prune" test_checkpoint_roundtrip_and_fallback ] );
       ("wal", [ quick "record round-trip" test_wal_record_roundtrip ]);
       ("trace-io", [ quick "adversarial inputs fail closed" test_trace_io_adversarial ]);
-      ("spec-blob", [ quick "round-trip" test_spec_blob_roundtrip ]);
+      ( "spec-blob",
+        [
+          quick "round-trip" test_spec_blob_roundtrip;
+          quick "version 2 fails closed" test_spec_blob_v2_fails_closed;
+        ] );
       ( "snapshot",
         [
           quick "restore equivalence" test_snapshot_restore_equivalence;

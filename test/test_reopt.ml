@@ -1,20 +1,15 @@
 (* Tests for the re-optimizing solve path (docs/PERFORMANCE.md): the
    monotone bucket queue's exact pop-order equivalence with the binary
    heap (tie-heavy and word-boundary keys included), Fast-vs-Classic
-   solver agreement, touched-arc flow-reset exactness, and the
-   end-to-end property that a run with [reopt = true] (the default) is
-   placement-for-placement identical to [--no-reopt] — with and without
-   fault injection. *)
+   solver agreement, and touched-arc flow-reset exactness.  The
+   end-to-end property that the persistent builder (with its sparse
+   flow resets) matches a full rebuild lives in test_incremental. *)
 
 module Graph = Flow.Graph
 module Mcmf = Flow.Mcmf
 module Heap = Prelude.Heap
 module Bucket_queue = Prelude.Bucket_queue
-module Comp_store = Hire.Comp_store
-module Vec = Prelude.Vec
 module Rng = Prelude.Rng
-
-let store = Comp_store.default ()
 
 (* ------------------------------------------------------------------ *)
 (* Bucket queue vs binary heap                                         *)
@@ -165,13 +160,28 @@ let random_instance rng ~n ~extra_arcs ~cost_lo ~cost_hi =
   Graph.add_supply g (n - 1) (- !total);
   g
 
+(* A fresh, unsolved copy of [g] with the same node and arc ids. *)
+let clone g =
+  let c = Graph.create () in
+  ignore (Graph.add_nodes c (Graph.node_count g));
+  Graph.iter_arcs g (fun a ->
+      let a' =
+        Graph.add_arc c ~src:(Graph.src g a) ~dst:(Graph.dst g a) ~cap:(Graph.capacity g a)
+          ~cost:(Graph.cost g a)
+      in
+      assert (a' = a));
+  for v = 0 to Graph.node_count g - 1 do
+    Graph.set_supply c v (Graph.supply g v)
+  done;
+  c
+
 let test_fast_equals_classic () =
   let rng = Rng.create 11 in
   for case = 1 to 40 do
     let cost_lo = if case mod 5 = 0 then -6 else 0 in
     let g1 = random_instance rng ~n:(5 + (case mod 20)) ~extra_arcs:(3 * case mod 50)
         ~cost_lo ~cost_hi:12 in
-    let g2 = Graph.copy g1 in
+    let g2 = clone g1 in
     let rc = Mcmf.solve ~algo:Mcmf.Classic g1 in
     let rf = Mcmf.solve ~algo:Mcmf.Fast g2 in
     Alcotest.(check int) "same shipped" rc.Mcmf.shipped rf.Mcmf.shipped;
@@ -191,7 +201,7 @@ let test_bucket_heap_flows_identical () =
       random_instance rng ~n:(6 + (case mod 12)) ~extra_arcs:(2 * case mod 30)
         ~cost_lo:0 ~cost_hi:9
     in
-    let g_heap = Graph.copy g_bucket in
+    let g_heap = clone g_bucket in
     let dead =
       Graph.add_arc g_heap ~src:0 ~dst:(Graph.node_count g_heap - 1) ~cap:0
         ~cost:(1 lsl 20)
@@ -242,135 +252,15 @@ let test_reset_touched_exact () =
   let swept = Graph.reset_touched_flows g in
   Alcotest.(check int) "fallback sweeps the arena" (Graph.arc_count g) swept
 
-(* ------------------------------------------------------------------ *)
-(* End-to-end property: reopt == cold                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* One full simulation cell; same structure as test_incremental's, with
-   the reopt flag as the axis under test (incremental stays on — reopt
-   is meaningless without the persistent builder). *)
-let run_cell ~reopt ~seed ~mu ~faults_on ~horizon =
-  let rng = Rng.create seed in
-  let trace_rng = Rng.split rng in
-  let scenario_rng = Rng.split rng in
-  let cluster_rng = Rng.split rng in
-  let fault_rng = Rng.split rng in
-  let services = Array.to_list (Comp_store.service_names store) in
-  let cluster =
-    Sim.Cluster.create ~inc_capable_fraction:0.5 ~k:4 ~setup:Sim.Cluster.Homogeneous
-      ~services cluster_rng
-  in
-  let trace_config =
-    Workload.Trace_gen.scaled_rate
-      ~n_servers:(Sim.Cluster.n_servers cluster)
-      ~target_utilization:0.8 Workload.Trace_gen.default
-  in
-  let trace = Workload.Trace_gen.generate trace_config trace_rng ~horizon in
-  let scenario = Sim.Scenario.build store scenario_rng ~mu trace in
-  let sched = Schedulers.Registry.create ~reopt "hire" ~seed:17 cluster in
-  let log = Buffer.create 1024 in
-  let wrapped =
-    {
-      sched with
-      Sim.Scheduler_intf.round =
-        (fun ~time ->
-          let r = sched.Sim.Scheduler_intf.round ~time in
-          Buffer.add_string log (Printf.sprintf "t=%.6f" time);
-          List.iter
-            (fun (p : Sim.Scheduler_intf.placement) ->
-              Buffer.add_string log
-                (Printf.sprintf " %d->%d" p.tg.Hire.Poly_req.tg_id p.machine))
-            r.Sim.Scheduler_intf.placements;
-          List.iter
-            (fun (tg : Hire.Poly_req.task_group) ->
-              Buffer.add_string log (Printf.sprintf " !%d" tg.Hire.Poly_req.tg_id))
-            r.Sim.Scheduler_intf.cancelled;
-          Buffer.add_char log '\n';
-          r);
-    }
-  in
-  let faults, fault_policy =
-    if not faults_on then (None, None)
-    else begin
-      let topo = Sim.Cluster.topo cluster in
-      let sharing = Sim.Cluster.sharing cluster in
-      let plan =
-        Faults.Plan.generate
-          { Faults.Plan.default_config with server_mtbf = 80.0; switch_mtbf = 80.0 }
-          fault_rng
-          ~inc_capable:(fun s -> Hire.Sharing.supported_services sharing s <> [])
-          ~servers:(Topology.Fat_tree.servers topo)
-          ~switches:(Topology.Fat_tree.switches topo)
-          ~horizon
-      in
-      (Some plan, Some (Faults.Policy.create ~max_retries:2 ()))
-    end
-  in
-  let result =
-    Sim.Simulator.run ?faults ?fault_policy cluster wrapped scenario.Sim.Scenario.arrivals
-  in
-  let ledger =
-    String.concat ";"
-      (Array.to_list
-         (Array.map
-            (fun s -> Vec.to_string (Sim.Cluster.server_available cluster s))
-            (Topology.Fat_tree.servers (Sim.Cluster.topo cluster))))
-  in
-  (Buffer.contents log, ledger, result.Sim.Simulator.report)
-
-let report_summary (r : Sim.Metrics.report) =
-  Printf.sprintf "jobs=%d inc=%d/%d tgs=%d/%d unserved=%d rounds=%d detour=%.6f"
-    r.Sim.Metrics.jobs_total r.Sim.Metrics.inc_jobs_served r.Sim.Metrics.inc_jobs_total
-    r.Sim.Metrics.tgs_satisfied r.Sim.Metrics.tgs_total r.Sim.Metrics.inc_tgs_unserved
-    r.Sim.Metrics.rounds r.Sim.Metrics.detour_mean
-
-let prop_reopt_identical =
-  QCheck.Test.make ~name:"reopt solves identical to cold resets (e2e)" ~count:8
-    QCheck.(triple (int_range 0 1_000_000) (float_range 0.0 1.0) bool)
-    (fun (seed, mu, faults_on) ->
-      let horizon = 60.0 in
-      let log_c, ledger_c, rep_c = run_cell ~reopt:false ~seed ~mu ~faults_on ~horizon in
-      let log_r, ledger_r, rep_r = run_cell ~reopt:true ~seed ~mu ~faults_on ~horizon in
-      if not (String.equal log_c log_r) then
-        QCheck.Test.fail_reportf "placement logs diverge (seed=%d mu=%.3f faults=%b)" seed
-          mu faults_on;
-      if not (String.equal ledger_c ledger_r) then
-        QCheck.Test.fail_reportf "final ledgers diverge (seed=%d mu=%.3f faults=%b)" seed mu
-          faults_on;
-      if not (String.equal (report_summary rep_c) (report_summary rep_r)) then
-        QCheck.Test.fail_reportf "reports diverge (seed=%d): %s vs %s" seed
-          (report_summary rep_c) (report_summary rep_r);
-      true)
-
-let test_cell_key_escape_hatch () =
-  let base = Harness.Experiment.default in
-  Alcotest.(check string)
-    "reopt default keeps the historical key"
-    (Harness.Experiment.cell_key base)
-    (Harness.Experiment.cell_key { base with reopt = true });
-  Alcotest.(check bool)
-    "escape hatch gets its own cells" false
-    (String.equal
-       (Harness.Experiment.cell_key base)
-       (Harness.Experiment.cell_key { base with reopt = false }));
-  Alcotest.(check bool)
-    "describe flags the escape hatch" true
-    (let d = Harness.Experiment.describe { base with reopt = false } in
-     let needle = "-reopt" in
-     let n = String.length d and m = String.length needle in
-     let rec scan i = i + m <= n && (String.sub d i m = needle || scan (i + 1)) in
-     scan 0)
-
 let test_spec_blob_roundtrip () =
   let base = Harness.Experiment.default in
   List.iter
     (fun spec ->
       let back = Harness.Experiment.spec_of_blob (Harness.Experiment.spec_to_blob spec) in
       Alcotest.(check bool) "spec round-trips" true (back = spec))
-    [ base; { base with reopt = false }; { base with reopt = false; incremental = false } ]
+    [ base; { base with incremental = false } ]
 
 let () =
-  let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "reopt"
     [
       ( "bucket-queue",
@@ -391,9 +281,5 @@ let () =
       ( "graph",
         [ Alcotest.test_case "touched reset exact" `Quick test_reset_touched_exact ] );
       ( "end-to-end",
-        qt [ prop_reopt_identical ]
-        @ [
-            Alcotest.test_case "cell_key escape hatch" `Quick test_cell_key_escape_hatch;
-            Alcotest.test_case "spec blob round-trip" `Quick test_spec_blob_roundtrip;
-          ] );
+        [ Alcotest.test_case "spec blob round-trip" `Quick test_spec_blob_roundtrip ] );
     ]

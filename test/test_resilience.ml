@@ -202,8 +202,8 @@ let test_chaos_deterministic_given_seed () =
   Alcotest.(check bool) "different seed, different draws" true (draws 7 <> draws 8)
 
 (* Streams are independent: a backend's draw sequence does not depend on
-   how many draws other streams made in between.  This is the property
-   the portfolio replay relies on (docs/PARALLELISM.md). *)
+   how many draws other streams made in between, so one injection
+   site's decisions never shift with another site's draw count. *)
 let test_chaos_streams_independent () =
   let ssp_only seed =
     with_chaos seed @@ fun () -> List.init 16 (fun _ -> Chaos.draw_solve ~backend:"ssp")
