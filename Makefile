@@ -64,20 +64,27 @@ bench-reopt:
 perfbench-smoke:
 	python3 perfbench/test_smoke.py
 
+# The solver fault schedule of docs/FAILPOINTS.md ("Solver schedule"):
+# it perturbs a seeded share of a run's budgeted solves and guarded
+# rounds, and nothing else.
+SOLVER_FAULTS = solver.exhaust=25%etimedout;solver.delay=25%delay(0.002);solver.flip=50%eio
+
 # Tier-1 gate plus smoke-checks that the observability and fault flags
 # are wired into the CLI (docs/OBSERVABILITY.md, docs/FAULTS.md), that a
-# small deterministic fault-injected run completes, that bad flags fail
-# fast with a one-line error, that the parallel sweep runner
-# (docs/RUNNER.md) executes and resumes a tiny sweep, and that a run
-# with an exhausted solver budget degrades along the fallback chain
-# instead of wedging (docs/RESILIENCE.md), that a multi-seed run under
-# HIRE_CHAOS prints the same seed reports with --jobs 1 and --jobs 4
-# (every seed runs in its own forked process, docs/RUNNER.md), that a
-# short solver benchmark still certifies the incremental network path
-# bit-identical (docs/PERFORMANCE.md), and that a journaled run crashed
-# mid-flight with a corrupted WAL tail recovers — tear truncated
-# (journal.torn_tail), replayed, and finished byte-identical to an
-# uninterrupted run (docs/JOURNAL.md), and that the admission server
+# small deterministic fault-injected run completes, that bad flags and a
+# malformed HIRE_FAILPOINTS fail fast with a one-line error, that the
+# parallel sweep runner (docs/RUNNER.md) executes and resumes a tiny
+# sweep, and that a run with an exhausted solver budget degrades along
+# the fallback chain instead of wedging (docs/RESILIENCE.md), also under
+# the solver fault schedule (every solver site fires), that a
+# multi-seed run under that schedule prints the same seed reports with
+# --jobs 1 and --jobs 4 (every seed runs in its own forked process,
+# docs/RUNNER.md), that a short solver benchmark still certifies the
+# incremental network path bit-identical (docs/PERFORMANCE.md), and that
+# a journaled run crashed mid-flight by the journal.crash failpoint with
+# a corrupted WAL tail recovers — tear truncated (journal.torn_tail),
+# replayed, and finished byte-identical to an uninterrupted run
+# (docs/JOURNAL.md), and that the admission server
 # (docs/SERVER.md) serves a submit/drain/shutdown session over its Unix
 # socket and fails fast with a one-line error on an unusable state dir,
 # and that a serve session under an injected fsync failure
@@ -97,6 +104,14 @@ check: lint-compare
 		{ echo "check: FAIL (expected one-line unknown-scheduler error)"; exit 1; }
 	@test "$$(wc -l < /tmp/hire_sim_err.txt)" -eq 1 || \
 		{ echo "check: FAIL (error should be one line, got:)"; cat /tmp/hire_sim_err.txt; exit 1; }
+	@if HIRE_FAILPOINTS='journal.fsync=bogus' dune exec bin/hire_sim.exe -- -k 4 \
+		--horizon 10 --seeds 1 >/dev/null 2>/tmp/hire_sim_err.txt; then \
+		echo "check: FAIL (malformed HIRE_FAILPOINTS should exit non-zero)"; exit 1; fi
+	@grep -q '^hire_sim: HIRE_FAILPOINTS: bad spec' /tmp/hire_sim_err.txt || \
+		{ echo "check: FAIL (expected one-line HIRE_FAILPOINTS error, got:)"; cat /tmp/hire_sim_err.txt; exit 1; }
+	@test "$$(wc -l < /tmp/hire_sim_err.txt)" -eq 1 || \
+		{ echo "check: FAIL (error should be one line, got:)"; cat /tmp/hire_sim_err.txt; exit 1; }
+	rm -f /tmp/hire_sim_err.txt
 	rm -rf /tmp/hire_check_sweep
 	dune exec bin/hire_sweep.exe -- --jobs 2 -k 4 --horizon 40 --util 2.0 \
 		--schedulers yarn-concurrent --mus 0.5 --seeds 1,2 \
@@ -111,16 +126,30 @@ check: lint-compare
 	dune exec bin/hire_sim.exe -- -s hire -k 4 --horizon 40 --util 2.0 --seeds 1 \
 		--solver-budget 0 --guard 1 \
 		| grep -E 'degraded-rounds=[1-9]' > /dev/null
-	HIRE_CHAOS=7 dune exec bin/hire_sim.exe -- -s hire -k 4 --horizon 60 --util 2.0 \
+	HIRE_FAILPOINTS='seed=7;$(SOLVER_FAULTS)' dune exec bin/hire_sim.exe -- \
+		-s hire -k 4 --horizon 40 --util 2.0 --seeds 1 \
+		--solver-budget 0.001 --guard 1 2>/dev/null \
+		| grep -E 'degraded-rounds=[1-9]' > /dev/null
+	HIRE_FAILPOINTS='seed=7;$(SOLVER_FAULTS)' dune exec bin/hire_sim.exe -- \
+		-s hire -k 4 --horizon 40 --util 2.0 --seeds 1 \
+		--solver-budget 0.001 --guard 1 --obs-summary 2>/dev/null \
+		> /tmp/hire_check_fired.txt
+	@for site in exhaust delay flip; do \
+		grep -Eq "failpt\.fired\.solver\.$$site +[1-9]" /tmp/hire_check_fired.txt || \
+		{ echo "check: FAIL (solver.$$site never fired)"; exit 1; }; done
+	rm -f /tmp/hire_check_fired.txt
+	HIRE_FAILPOINTS='seed=7;$(SOLVER_FAULTS)' dune exec bin/hire_sim.exe -- \
+		-s hire -k 4 --horizon 60 --util 2.0 \
 		--seeds 1,2,3,4 --solver-steps 3000 --guard 1 --jobs 1 2>/dev/null \
 		| grep '^seed ' > /tmp/hire_check_jobs1.txt
-	HIRE_CHAOS=7 dune exec bin/hire_sim.exe -- -s hire -k 4 --horizon 60 --util 2.0 \
+	HIRE_FAILPOINTS='seed=7;$(SOLVER_FAULTS)' dune exec bin/hire_sim.exe -- \
+		-s hire -k 4 --horizon 60 --util 2.0 \
 		--seeds 1,2,3,4 --solver-steps 3000 --guard 1 --jobs 4 2>/dev/null \
 		| grep '^seed ' > /tmp/hire_check_jobs4.txt
 	@test "$$(wc -l < /tmp/hire_check_jobs1.txt)" -eq 4 || \
 		{ echo "check: FAIL (expected four seed reports)"; exit 1; }
 	@cmp /tmp/hire_check_jobs1.txt /tmp/hire_check_jobs4.txt || \
-		{ echo "check: FAIL (seed reports depend on --jobs under HIRE_CHAOS)"; exit 1; }
+		{ echo "check: FAIL (seed reports depend on --jobs under solver faults)"; exit 1; }
 	rm -f /tmp/hire_check_jobs1.txt /tmp/hire_check_jobs4.txt
 	dune exec bench/bench_solver.exe -- --rounds 40 -k 4 --no-e2e \
 		--out /tmp/hire_bench_smoke.json
@@ -133,9 +162,9 @@ check: lint-compare
 	dune exec bin/hire_service.exe -- --state-dir /tmp/hire_check_journal/ref \
 		-k 8 --horizon 30 --seed 1 --faults --mtbf 40 --mttr 5 \
 		--csv /tmp/hire_check_journal/ref.csv > /dev/null
-	@if dune exec bin/hire_service.exe -- --state-dir /tmp/hire_check_journal/run \
-		-k 8 --horizon 30 --seed 1 --faults --mtbf 40 --mttr 5 \
-		--crash-at 300 > /dev/null 2>&1; then \
+	@if HIRE_FAILPOINTS='journal.crash=1*short(5)@300' \
+		dune exec bin/hire_service.exe -- --state-dir /tmp/hire_check_journal/run \
+		-k 8 --horizon 30 --seed 1 --faults --mtbf 40 --mttr 5 > /dev/null 2>&1; then \
 		echo "check: FAIL (armed crash should exit non-zero)"; exit 1; fi
 	printf '\012\000\000' >> /tmp/hire_check_journal/run/journal/wal.bin
 	dune exec bin/hire_service.exe -- --state-dir /tmp/hire_check_journal/run \

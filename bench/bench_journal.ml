@@ -13,7 +13,6 @@
 module Clock = Prelude.Clock
 module Experiment = Harness.Experiment
 module Source = Journal.Source
-module Chaos = Journal.Chaos
 
 let tmp_counter = ref 0
 
@@ -94,12 +93,11 @@ type recovery_point = {
 let recovery_point s ~row ~checkpoint_every ~frac ~crash_at =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  Fun.protect ~finally:Chaos.disarm @@ fun () ->
-  Chaos.arm ~crash_at ();
+  Fun.protect ~finally:Failpt.reset @@ fun () ->
+  Failpt.set "journal.crash" (Printf.sprintf "1*short(5)@%d" crash_at);
   (match run_journaled s ~dir ~checkpoint_every with
   | _ -> failwith "armed crash did not fire"
-  | exception Chaos.Crashed _ -> ());
-  Chaos.disarm ();
+  | exception Journal.Sink.Crashed _ -> ());
   let t0 = Clock.now () in
   let recovered =
     Sim.Service.recover ~dir ~checkpoint_every

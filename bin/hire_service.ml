@@ -17,45 +17,19 @@ let journal_subdir = "journal"
    and wall time is the one nondeterministic input. *)
 let config = { Sim.Simulator.default_config with deterministic_wall = true }
 
-let parse_crash_at s =
-  match String.index_opt s ':' with
-  | None -> (int_of_string s, None)
-  | Some i ->
-      ( int_of_string (String.sub s 0 i),
-        Some (int_of_string (String.sub s (i + 1) (String.length s - i - 1))) )
-
-(* One startup line enumerating every armed fault-injection knob
-   (docs/FAILPOINTS.md): operators reading a failure log should never
-   have to guess whether faults were injected or real. *)
+(* One startup line naming the armed fault schedule (docs/FAILPOINTS.md):
+   operators reading a failure log should never have to guess whether
+   faults were injected or real. *)
 let log_armed_faults () =
-  let knobs =
-    List.filter_map Fun.id
-      [
-        (match Failpt.describe () with
-        | "" -> None
-        | d -> Some ("failpoints " ^ d));
-        (match Journal.Chaos.crash_at () with
-        | None -> None
-        | Some seq -> Some (Printf.sprintf "crash-at seq=%d" seq));
-        (match Flow.Chaos.seed () with
-        | None -> None
-        | Some seed -> Some (Printf.sprintf "solver-chaos seed=%d" seed));
-      ]
-  in
-  if knobs <> [] then
-    Printf.printf "fault injection armed: %s\n%!" (String.concat "; " knobs)
+  match Failpt.describe () with
+  | "" -> ()
+  | d -> Printf.printf "fault injection armed: failpoints %s\n%!" d
 
-let run state_dir checkpoint_every recover crash_at scheduler mu k horizon seed setup util
+let run state_dir checkpoint_every recover scheduler mu k horizon seed setup util
     fraction faults_on mtbf mttr max_retries csv obs_summary serve socket tcp
     round_interval max_batch max_pending io_timeout =
   if obs_summary then Obs.set_enabled true;
-  Journal.Chaos.init_env ();
   Failpt.init_env ();
-  (match crash_at with
-  | None -> ()
-  | Some s ->
-      let crash_at, tear = parse_crash_at s in
-      Journal.Chaos.arm ~crash_at ?tear ());
   log_armed_faults ();
   let dir = Filename.concat state_dir journal_subdir in
   let setup =
@@ -246,15 +220,6 @@ let recover =
   in
   Arg.(value & flag & info [ "recover" ] ~doc)
 
-let crash_at =
-  let doc =
-    "Arm the seeded crash injector: the append of WAL record $(docv) (format \
-     SEQ or SEQ:TEAR-BYTES) writes only a torn prefix and the process dies with \
-     exit code 9 — the state a kill -9 mid-write leaves.  Equivalent to \
-     HIRE_CRASH_AT.  Testing hook for the CI crash-recovery leg."
-  in
-  Arg.(value & opt (some string) None & info [ "crash-at" ] ~docv:"SEQ[:TEAR]" ~doc)
-
 let scheduler =
   let doc = "Scheduler to run: " ^ String.concat ", " Schedulers.Registry.names ^ "." in
   Arg.(value & opt string "hire" & info [ "scheduler"; "s" ] ~docv:"NAME" ~doc)
@@ -373,13 +338,13 @@ let cmd =
          written periodically.  After a crash, $(b,--recover) lands back on the \
          uninterrupted run's state byte for byte and continues.";
       `S Manpage.s_exit_status;
-      `P "9 on an armed $(b,--crash-at)/HIRE_CRASH_AT injected crash.";
+      `P "9 when the journal.crash failpoint (docs/FAILPOINTS.md) fires.";
     ]
   in
   Cmd.v
     (Cmd.info "hire_service" ~version:"1.0" ~doc ~man)
     Term.(
-      const run $ state_dir $ checkpoint_every $ recover $ crash_at $ scheduler $ mu $ k
+      const run $ state_dir $ checkpoint_every $ recover $ scheduler $ mu $ k
       $ horizon $ seed $ setup $ util $ fraction $ faults_flag $ mtbf $ mttr $ max_retries
       $ csv $ obs_summary $ serve $ socket $ tcp $ round_interval $ max_batch
       $ max_pending $ io_timeout)
@@ -389,7 +354,7 @@ let cmd =
    land the same way, so scripts can branch on the exit code alone. *)
 let () =
   try exit (Cmd.eval ~catch:false cmd) with
-  | Journal.Chaos.Crashed seq ->
+  | Journal.Sink.Crashed seq ->
       Printf.eprintf "hire_service: injected crash at WAL seq %d\n" seq;
       exit 9
   | Journal.Error.Journal_error e ->

@@ -6,6 +6,8 @@
 let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max_retries
     solver_budget solver_steps guard no_incremental jobs verbose csv
     trace obs_summary journal checkpoint_every =
+  (* A malformed HIRE_FAILPOINTS fails here, before any seed runs. *)
+  Failpt.init_env ();
   if trace <> None || obs_summary then Obs.set_enabled true;
   (match trace with
   | Some path -> (
@@ -120,7 +122,7 @@ let run scheduler mu k horizon seeds setup util fraction faults_on mtbf mttr max
     end
     else
       (* One forked child per seed, whatever [jobs] is: each seed starts
-         from fresh process-global state (the HIRE_CHAOS streams), so a
+         from fresh process-global state (the failpoint streams), so a
          seed's report does not depend on --jobs or on the seeds run
          before it. *)
       Runner.Pool.map ~jobs ~retries:0
@@ -292,7 +294,7 @@ let jobs =
   let doc =
     "Run up to $(docv) seeds concurrently, each in its own forked process \
      (docs/RUNNER.md).  Reports are printed in seed order and do not depend on \
-     $(docv), also under HIRE_CHAOS.  Ignored with $(b,--trace) or \
+     $(docv), also under a HIRE_FAILPOINTS schedule.  Ignored with $(b,--trace) or \
      $(b,--obs-summary), whose instrumentation is process-global: seeds then run \
      in order in this process."
   in
@@ -360,7 +362,12 @@ let cmd =
    unreadable/unwritable files exit 1 with a one-line error instead of
    cmdliner's "internal error" backtrace. *)
 let () =
-  try exit (Cmd.eval ~catch:false cmd)
-  with Failure msg | Sys_error msg | Invalid_argument msg ->
-    Printf.eprintf "hire_sim: %s\n" msg;
-    exit 1
+  try exit (Cmd.eval ~catch:false cmd) with
+  | Journal.Sink.Crashed seq ->
+      (* The journal.crash failpoint under --journal: same exit as
+         hire_service, and hire_service --recover finishes the run. *)
+      Printf.eprintf "hire_sim: injected crash at WAL seq %d\n" seq;
+      exit 9
+  | Failure msg | Sys_error msg | Invalid_argument msg ->
+      Printf.eprintf "hire_sim: %s\n" msg;
+      exit 1

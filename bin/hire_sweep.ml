@@ -15,6 +15,8 @@ let parse_setup = function
 let sweep jobs resume no_cache state_dir cache_dir timeout retries schedulers mus setups seeds k
     horizon util fraction faults_on mtbf mttr max_retries solver_budget solver_steps
     guard no_incremental out quiet =
+  (* A malformed HIRE_FAILPOINTS fails here, before any cell runs. *)
+  Failpt.init_env ();
   List.iter
     (fun s ->
       if not (List.mem s Schedulers.Registry.names) then

@@ -5,8 +5,8 @@ type outcome =
   | Short of int
   | Delay of float
 
-(* Same explicit fold as [Flow.Chaos.string_seed]: a stable
-   string -> int map with no dependence on the polymorphic hash. *)
+(* A stable string -> int map with no dependence on the polymorphic
+   hash, so a site's stream is the same on every build. *)
 let string_seed s =
   String.fold_left (fun h c -> (((h * 31) + Char.code c) land 0x3FFFFFFF)) 5381 s
 
@@ -14,9 +14,9 @@ type site = {
   spec : string;  (* the term this site was armed with, for {!describe} *)
   prob : float;  (* fire probability per evaluation *)
   mutable left : int;  (* remaining fires; -1 = unlimited *)
+  mutable skip : int;  (* evaluations still to pass over before any draw *)
   action : outcome;
   rng : Rng.t;  (* private stream: draws depend only on this site *)
-  mutable fired : int;
 }
 
 type t = { seed : int; mutable sites : (string * site) list }
@@ -47,11 +47,20 @@ let errno_of_action = function
 let bad spec reason =
   invalid_arg (Printf.sprintf "HIRE_FAILPOINTS: bad spec %S (%s)" spec reason)
 
-(* [spec ::= "off" | [P%][N*]action[(arg)]] — returns [None] for "off". *)
+(* [spec ::= "off" | [P%][N*]action[(arg)][@K]] — returns [None] for "off". *)
 let parse_spec spec =
   let s = String.trim spec in
   if String.equal s "off" then None
   else begin
+    let skip, s =
+      match String.index_opt s '@' with
+      | None -> (0, s)
+      | Some i -> (
+          let tail = String.sub s (i + 1) (String.length s - i - 1) in
+          match int_of_string_opt tail with
+          | Some k when k >= 0 -> (k, String.sub s 0 i)
+          | _ -> bad spec "skip must be a non-negative integer")
+    in
     let prob, s =
       match String.index_opt s '%' with
       | None -> (1.0, s)
@@ -97,28 +106,17 @@ let parse_spec spec =
       | None, ("short" | "delay"), None -> bad spec "missing argument"
       | None, _, _ -> bad spec "unknown action"
     in
-    Some (prob, left, action)
+    Some (prob, left, skip, action)
   end
 
-let set name spec =
-  let t =
-    match !current with
-    | Some t -> t
-    | None ->
-        activate ~seed:0;
-        Option.get !current
-  in
+let arm t name spec =
   let sites = List.remove_assoc name t.sites in
   match parse_spec spec with
   | None -> t.sites <- sites
-  | Some (prob, left, action) ->
+  | Some (prob, left, skip, action) ->
       let rng = Rng.create (t.seed lxor string_seed name) in
-      t.sites <- (name, { spec = String.trim spec; prob; left; action; rng; fired = 0 }) :: sites
-
-let clear name =
-  match !current with
-  | None -> ()
-  | Some t -> t.sites <- List.remove_assoc name t.sites
+      t.sites <-
+        (name, { spec = String.trim spec; prob; left; skip; action; rng }) :: sites
 
 (* Full HIRE_FAILPOINTS value: ';'/','-separated [seed=N] and
    [site=spec] terms.  The seed term is applied first regardless of
@@ -148,7 +146,8 @@ let load value =
         | None -> invalid_arg (Printf.sprintf "HIRE_FAILPOINTS: bad seed %S" v))
   in
   activate ~seed;
-  List.iter (fun (k, v) -> if not (String.equal k "seed") then set k v) kvs
+  let t = Option.get !current in
+  List.iter (fun (k, v) -> if not (String.equal k "seed") then arm t k v) kvs
 
 let resolve () =
   if not !resolved then begin
@@ -159,6 +158,28 @@ let resolve () =
   end
 
 let init_env () = resolve ()
+
+(* Programmatic arming adds to whatever the environment armed. *)
+let set name spec =
+  resolve ();
+  let t =
+    match !current with
+    | Some t -> t
+    | None ->
+        activate ~seed:0;
+        Option.get !current
+  in
+  arm t name spec
+
+let clear name =
+  resolve ();
+  match !current with
+  | None -> ()
+  | Some t -> t.sites <- List.remove_assoc name t.sites
+
+let reset () =
+  current := None;
+  resolved := false
 
 let enabled () =
   resolve ();
@@ -173,12 +194,17 @@ let eval name =
       | None -> None
       | Some s ->
           if s.left = 0 then None
+          else if s.skip > 0 then begin
+            s.skip <- s.skip - 1;
+            None
+          end
           else if not (Rng.bernoulli s.rng s.prob) then None
           else begin
             if s.left > 0 then s.left <- s.left - 1;
-            s.fired <- s.fired + 1;
-            if Obs.enabled () then
+            if Obs.enabled () then begin
               Obs.Registry.incr (Obs.Registry.counter "failpt.fired");
+              Obs.Registry.incr (Obs.Registry.counter ("failpt.fired." ^ name))
+            end;
             Some s.action
           end)
 
@@ -199,4 +225,4 @@ let describe () =
         List.sort (fun (a, _) (b, _) -> String.compare a b) t.sites
         |> List.map (fun (n, s) -> Printf.sprintf "%s=%s" n s.spec)
       in
-      String.concat " " (Printf.sprintf "seed=%d" t.seed :: sites)
+      String.concat ";" (Printf.sprintf "seed=%d" t.seed :: sites)

@@ -1,34 +1,39 @@
 (** Seeded, named failpoint registry (docs/FAILPOINTS.md).
 
-    A failpoint is a named site in the durability or network stack
-    ([journal.write], [net.accept], ...) where a fault can be injected
-    deterministically: the site calls {!eval} on its hot path and acts
-    on the returned {!outcome}, exactly as it would on the real error.
-    Sites cost one list lookup when the registry is armed and one
-    [ref]-load branch when it is not, so production paths stay free.
+    A failpoint is a named site in the solver, durability or network
+    stack ([solver.exhaust], [journal.write], [net.accept], ...) where a
+    fault can be injected deterministically: the site calls {!eval} on
+    its path and acts on the returned {!outcome}, exactly as it would on
+    the real failure.  Sites cost one list lookup when the registry is
+    armed and one [ref]-load branch when it is not, so production paths
+    stay free.
 
-    Activation follows the same convention as [HIRE_CHAOS]
-    ([Flow.Chaos]) and [HIRE_CRASH_AT] ([Journal.Chaos]): a single
-    environment variable resolved lazily on first use, a seed, and
-    per-site named RNG streams so one site's draw sequence depends only
-    on how many times {e that site} was evaluated.  Tests pin the
-    registry programmatically with {!activate}/{!set}.
+    Activation: the single [HIRE_FAILPOINTS] environment variable,
+    resolved lazily on first use (binaries call {!init_env} at startup
+    so a bad value fails before any work), one seed, and per-site named
+    RNG streams so one site's draw sequence depends only on how many
+    times {e that site} was evaluated.  Tests pin the registry
+    programmatically with {!activate}/{!set}/{!load} and hand it back to
+    the environment with {!reset}.
 
     {2 Grammar}
 
-    {[ HIRE_FAILPOINTS="seed=42;journal.fsync=1*eio;net.write=25%3*short(1)" ]}
+    {[ HIRE_FAILPOINTS="seed=42;journal.fsync=1*eio;journal.crash=1*short(5)@300" ]}
 
     Terms are separated by [;] (or [,]).  [seed=N] seeds every site
     stream (default 0).  Every other term is [site=spec] with
 
-    {[ spec ::= "off" | [P%][N*]action[(arg)] ]}
+    {[ spec ::= "off" | [P%][N*]action[(arg)][@K] ]}
 
     [P%] fires with probability [P/100] per evaluation (default:
     always); [N*] fires at most [N] times, then the site goes quiet
-    (default: unlimited).  Actions: [enospc] [eio] [epipe] [econnreset]
-    [econnaborted] [emfile] [etimedout] (POSIX errors), [short(k)]
-    (write only [k] bytes, then fail), [delay(s)] (sleep [s] seconds),
-    [off]. *)
+    (default: unlimited); [@K] passes over the site's first [K]
+    evaluations without drawing, so the earliest fire is evaluation [K]
+    counted from 0 (default: 0).  Actions: [enospc] [eio] [epipe]
+    [econnreset] [econnaborted] [emfile] [etimedout] (POSIX errors),
+    [short(k)] (write only [k] bytes, then fail), [delay(s)] (stall [s]
+    seconds), [off].  What each action means at each site is the site
+    table in docs/FAILPOINTS.md. *)
 
 (** What an armed site tells its caller to do. *)
 type outcome =
@@ -39,7 +44,8 @@ type outcome =
 (** Arm the registry programmatically (clears every site). *)
 val activate : seed:int -> unit
 
-(** Disarm every site; {!eval} returns [None] everywhere. *)
+(** Disarm every site; {!eval} returns [None] everywhere and {!describe}
+    is [""] until the next {!activate}, {!set}, {!load} or {!reset}. *)
 val deactivate : unit -> unit
 
 val enabled : unit -> bool
@@ -53,21 +59,29 @@ val load : string -> unit
     @raise Invalid_argument on an unparseable value. *)
 val init_env : unit -> unit
 
-(** [set site spec] arms one site from a [spec] term (see grammar);
-    ["off"] is equivalent to {!clear}.  Activates the registry with
-    seed 0 if nothing is armed yet.
+(** Drop whatever was pinned programmatically: the next query resolves
+    [HIRE_FAILPOINTS] afresh (new site streams).  Tests that pin the
+    registry call this on exit so later tests in the same executable
+    still run under the environment's schedule. *)
+val reset : unit -> unit
+
+(** [set site spec] arms one site from a [spec] term (see grammar),
+    next to whatever else is armed (the environment's schedule
+    included); ["off"] is equivalent to {!clear}.  Activates the
+    registry with seed 0 if nothing is armed yet.
     @raise Invalid_argument on an unparseable spec. *)
 val set : string -> string -> unit
 
 val clear : string -> unit
 
 (** [eval site] draws this site's next decision: [None] (proceed) or
-    the armed {!outcome}.  Counts [failpt.fired] when armed sites fire
-    and observability is on. *)
+    the armed {!outcome}.  When observability is on, a fire counts
+    [failpt.fired] and [failpt.fired.<site>]. *)
 val eval : string -> outcome option
 
-(** One-line description of the armed registry for startup logs:
-    ["seed=42 journal.fsync=1*eio ..."]; [""] when disarmed. *)
+(** The armed registry as a [HIRE_FAILPOINTS] value, for startup logs:
+    ["seed=42;journal.fsync=1*eio;..."] with sites sorted by name;
+    [""] when disarmed.  {!load} of it re-arms the same schedule. *)
 val describe : unit -> string
 
 (** Sites currently armed (spec not exhausted), sorted by name. *)

@@ -13,12 +13,12 @@ let pp fmt b =
   | None, Some s -> Format.fprintf fmt "steps<=%d" s
   | Some w, Some s -> Format.fprintf fmt "wall<=%.6fs,steps<=%d" w s
 
-type reason = Wall_clock of float | Steps of int | Chaos
+type reason = Wall_clock of float | Steps of int | Forced
 
 let pp_reason fmt = function
   | Wall_clock s -> Format.fprintf fmt "wall-clock budget exhausted (%.6fs)" s
   | Steps n -> Format.fprintf fmt "step budget exhausted (%d steps)" n
-  | Chaos -> Format.pp_print_string fmt "chaos-forced exhaustion"
+  | Forced -> Format.pp_print_string fmt "forced exhaustion"
 
 type state = {
   budget : t;
@@ -32,7 +32,11 @@ type state = {
 let start budget =
   (* Only sample the clock when a wall cap can ever need it. *)
   let started = match budget.max_wall_s with Some _ -> Clock.now () | None -> 0.0 in
-  { budget; started; steps = 0; handicap_s = 0.0; forced = false; exhausted = None }
+  let forced = Option.is_some (Failpt.eval "solver.exhaust") in
+  let handicap_s =
+    match Failpt.eval "solver.delay" with Some (Failpt.Delay s) -> s | _ -> 0.0
+  in
+  { budget; started; steps = 0; handicap_s; forced; exhausted = None }
 
 let spend st n = st.steps <- st.steps + n
 let steps st = st.steps
@@ -44,7 +48,7 @@ let check st =
   | Some _ as r -> r
   | None ->
       let verdict =
-        if st.forced then Some Chaos
+        if st.forced then Some Forced
         else
           match st.budget.max_steps with
           | Some m when st.steps >= m -> Some (Steps m)

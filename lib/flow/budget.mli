@@ -15,9 +15,11 @@
     the graph's flow is reset to zero and the result reports everything
     unshipped.
 
-    The chaos harness ({!Chaos}) can force exhaustion or handicap the
-    wall clock of a budgeted solve; unbudgeted solves are never touched,
-    so exact-solver tests stay exact even with [HIRE_CHAOS] set. *)
+    The [solver.exhaust] and [solver.delay] failpoints
+    (docs/FAILPOINTS.md) can force exhaustion or age the wall clock of
+    a budgeted solve; they are evaluated in {!start}, which only
+    budgeted solves call, so exact-solver tests stay exact under any
+    [HIRE_FAILPOINTS] schedule. *)
 
 type t = {
   max_wall_s : float option;  (** monotonic wall-clock cap, seconds *)
@@ -35,7 +37,7 @@ val pp : Format.formatter -> t -> unit
 type reason =
   | Wall_clock of float  (** the wall cap, seconds *)
   | Steps of int  (** the step cap *)
-  | Chaos  (** {!Chaos} forced exhaustion *)
+  | Forced  (** {!force_exhaustion}, e.g. by the [solver.exhaust] failpoint *)
 
 val pp_reason : Format.formatter -> reason -> unit
 
@@ -43,7 +45,11 @@ val pp_reason : Format.formatter -> reason -> unit
     at the top of each budgeted solve. *)
 type state
 
-(** [start budget] begins accounting. *)
+(** [start budget] begins accounting for one budgeted solve, and
+    evaluates its failpoints: any action fired at [solver.exhaust]
+    forces exhaustion ({!force_exhaustion}); [delay(s)] fired at
+    [solver.delay] ages the wall clock by [s] ({!inject_delay}) instead
+    of sleeping, and any other action there is ignored. *)
 val start : t -> state
 
 (** [spend st n] records [n] solver steps. *)
@@ -52,15 +58,15 @@ val spend : state -> int -> unit
 (** Steps recorded so far. *)
 val steps : state -> int
 
-(** Chaos hook: age the wall clock by [s] seconds (the solve appears to
+(** Fault hook: age the wall clock by [s] seconds (the solve appears to
     have run that much longer). *)
 val inject_delay : state -> float -> unit
 
-(** Chaos hook: the next {!check} reports {!Chaos}. *)
+(** Fault hook: the next {!check} reports {!Forced}. *)
 val force_exhaustion : state -> unit
 
 (** [check st] is [Some reason] once the budget is exhausted (sticky),
     [None] while within budget.  Checks, in order: a sticky prior
-    verdict, chaos forcing, the step cap, the wall cap.  Reads the
+    verdict, forced exhaustion, the step cap, the wall cap.  Reads the
     monotonic clock only when a wall cap is actually set. *)
 val check : state -> reason option

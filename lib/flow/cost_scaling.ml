@@ -24,14 +24,8 @@ exception Exhausted of Budget.reason
 let solve ?(alpha = 8) ?budget g =
   if alpha < 2 then invalid_arg "Cost_scaling.solve: alpha must be >= 2";
   let t0 = Clock.now () in
-  (* As in [Mcmf.solve]: chaos only ever perturbs budgeted solves. *)
+  (* As in [Mcmf.solve]: only budgeted solves evaluate failpoints. *)
   let bstate = Option.map Budget.start budget in
-  (match bstate with
-  | Some st when Chaos.enabled () ->
-      let forced, d = Chaos.draw_solve ~backend:"cost-scaling" in
-      if forced then Budget.force_exhaustion st;
-      if d > 0.0 then Budget.inject_delay st d
-  | _ -> ());
   let check_budget () =
     match bstate with
     | None -> ()

@@ -37,6 +37,5 @@ type result = {
     [budget] bounds the solve (checked at phase and discharge
     boundaries; pushes and relabels are the step currency); on
     exhaustion the flow is reset to zero and the result is flagged
-    [degraded].  Without a budget the chaos harness never touches the
-    solve. *)
+    [degraded].  Without a budget no failpoint touches the solve. *)
 val solve : ?alpha:int -> ?budget:Budget.t -> Graph.t -> result

@@ -274,15 +274,10 @@ let dijkstra_fast_bucket g s =
 
 let solve ?budget ?scratch:s ?(algo = Fast) g =
   let t0 = Clock.now () in
-  (* Chaos only ever perturbs budgeted solves: an unbudgeted caller has
-     no degraded path to absorb it. *)
+  (* Only a budgeted solve starts a budget, and so evaluates the solver
+     failpoints: an unbudgeted caller has no degraded path to absorb
+     them. *)
   let bstate = Option.map Budget.start budget in
-  (match bstate with
-  | Some st when Chaos.enabled () ->
-      let forced, d = Chaos.draw_solve ~backend:"ssp" in
-      if forced then Budget.force_exhaustion st;
-      if d > 0.0 then Budget.inject_delay st d
-  | _ -> ());
   let instrument = Obs.enabled () in
   let t_spfa = ref 0.0 and t_dijkstra = ref 0.0 and t_augment = ref 0.0 in
   let staged acc f =

@@ -30,7 +30,7 @@ type result = {
   augmentations : int;  (** number of augmenting paths used *)
   elapsed_s : float;  (** monotonic wall-clock solve time ({!Prelude.Clock}) *)
   degraded : bool;
-      (** the solve was stopped by its {!Budget} (or a {!Chaos}-forced
+      (** the solve was stopped by its {!Budget} (or a forced
           exhaustion) before completing.  The flow left on the graph is
           still a valid min-cost flow for its (partial) value — every
           SSP prefix is — and passes {!Verify.check}; [unshipped] counts
@@ -71,8 +71,8 @@ type algo = Classic | Fast
     on [g], mutating arc flows in place.  Supplies/demands are read from
     the graph's node supplies.  [budget] bounds the solve (checked
     before every augmentation); without one the solve runs to
-    completion and [degraded] is always [false] — and the chaos harness
-    never touches the solve.
+    completion and [degraded] is always [false] — and no failpoint
+    touches the solve.
 
     [scratch] provides a reusable workspace (exact; see {!scratch}).
 

@@ -94,3 +94,21 @@ let check g =
       match check_conservation g with
       | Error _ as e -> e
       | Ok () -> optimal g)
+
+let flip_failpoint g =
+  match Failpt.eval "solver.flip" with
+  | None -> None
+  | Some _ -> (
+      (* The first arc carrying flow into a zero-supply node: its balance
+         must be exactly zero, so taking one unit off always surfaces as
+         a conservation violation instead of hiding in the slack of a
+         partially shipped supply/demand node. *)
+      let target = ref None in
+      Graph.iter_arcs g (fun a ->
+          if !target = None && Graph.flow g a > 0 && Graph.supply g (Graph.dst g a) = 0
+          then target := Some a);
+      match !target with
+      | None -> None
+      | Some a ->
+          Graph.corrupt_flow g a (-1);
+          Some a)

@@ -25,3 +25,12 @@ val check : Graph.t -> (unit, violation) result
 
 (** [optimal g] checks only the negative-residual-cycle condition. *)
 val optimal : Graph.t -> (unit, violation) result
+
+(** The [solver.flip] failpoint (docs/FAILPOINTS.md), evaluated by a
+    guarded round between its solve and the flow guard: when the site
+    fires (any action), take one unit of flow off the first arc that
+    carries flow into a zero-supply node ({!Graph.corrupt_flow}) — a
+    corruption {!check} is guaranteed to catch, since such nodes must
+    conserve flow exactly.  Returns the flipped arc, or [None] when the
+    site did not fire or no arc is eligible. *)
+val flip_failpoint : Graph.t -> Graph.arc option

@@ -506,7 +506,7 @@ let patch_prefix b (view : View.t) p d ~big ~(params : Cost_model.params) touche
   let g = b.g in
   let topo = view.topo in
   Graph.release g p.mark;
-  (* Undo last round's flow (and any chaos corruption) on prefix arcs
+  (* Undo last round's flow (and any injected corruption) on prefix arcs
      sparsely via the graph's touched-pair record — bit-identical to a
      full arena sweep (Graph.reset_touched_flows contract). *)
   b.last_reset <- Graph.reset_touched_flows g;

@@ -123,8 +123,8 @@ val solver_name : solver -> string
     the solve is bounded ({!Flow.Budget}); a degraded SSP result leaves
     a valid partial flow, a degraded cost-scaling result leaves the zero
     flow.  Splitting solve from extraction lets the resilience layer run
-    the invariant guard (and the chaos harness) on the raw flow before
-    any decision is read off it.
+    the invariant guard (and the [solver.flip] failpoint) on the raw
+    flow before any decision is read off it.
 
     [scratch] is forwarded to {!Flow.Mcmf.solve} when an SSP backend
     runs (cost scaling ignores it); scratch reuse is exact. *)

@@ -255,7 +255,8 @@ let build_network t ~jobs ~time ~params =
    previous cost-scaling attempt leaves its virtual feasibility node
    behind, so a solved network is never reused across attempts — the
    persistent builder rewinds it instead of reallocating), solve under
-   the budget, optionally corrupt (chaos) and guard the live solution.
+   the budget, optionally corrupt (solver.flip) and guard the live
+   solution.
    [`Accept] carries the extracted outcome; [`Reject] advances the
    chain. *)
 let attempt_backend t ~jobs ~time ~params (r : resilience) ~backend ~trips =
@@ -276,10 +277,10 @@ let attempt_backend t ~jobs ~time ~params (r : resilience) ~backend ~trips =
     else begin
       if Obs.enabled () then
         Obs.Registry.incr (Obs.Registry.counter "hire.resilience.guard_checks");
-      (* Chaos sits between the solver and the guard: a seeded bit-flip
-         on the live flow that the guard must catch. *)
-      if Flow.Chaos.enabled () then
-        ignore (Flow.Chaos.corrupt_solution (Flow_network.graph net));
+      (* The solver.flip failpoint sits between the solver and the
+         guard: a seeded bit-flip on the live flow that the guard must
+         catch. *)
+      ignore (Flow.Verify.flip_failpoint (Flow_network.graph net));
       let verdict =
         match Guard.check_flow (Flow_network.graph net) with
         | Error v -> Error v

@@ -7,10 +7,11 @@
     but the torn tail a crash legitimately leaves; {!Checkpoint} stores
     generation-numbered full-state snapshots with atomic
     rename-into-place so recovery replays a suffix instead of the whole
-    history; {!Chaos} is the seeded crash-point injector behind the
-    crash-anywhere recovery property; {!Error} is the closed error
-    taxonomy shared by all of them.  {!Frame} (the shared framing
-    primitives) is exposed for the adversarial-input tests.
+    history; {!Error} is the closed error taxonomy shared by all of
+    them.  {!Sink.Crashed} is raised by the [journal.crash] failpoint
+    behind the crash-anywhere recovery property (docs/FAILPOINTS.md).
+    {!Frame} (the shared framing primitives) is exposed for the
+    adversarial-input tests.
 
     The replaying state machine lives on the simulator side
     ([Sim.Recovery], [Sim.Service]); this library knows nothing about
@@ -18,7 +19,6 @@
 
 module Error = Error
 module Frame = Frame
-module Chaos = Chaos
 module Sink = Sink
 module Source = Source
 module Checkpoint = Checkpoint

@@ -1,5 +1,7 @@
 module Clock = Prelude.Clock
 
+exception Crashed of int
+
 let magic = "HIREWAL1"
 let version = 1
 
@@ -11,8 +13,8 @@ type t = {
      {!Failpt} injection) the file is truncated back to [synced_end]
      and the frames are kept, so a retry rewrites them in order and the
      healed file is byte-identical to a failure-free run.  An injected
-     crash ({!Chaos}) flushes the whole frames first so the tear lands
-     exactly where a real kill would leave it. *)
+     crash (the [journal.crash] failpoint) flushes the whole frames
+     first so the tear lands exactly where a real kill would leave it. *)
   buf : Buffer.t;
   (* Group-commit window: a {!commit} inside the window defers the
      fsync to a later commit (or {!barrier}/{!close}) so one device
@@ -117,16 +119,17 @@ let append t body =
   if t.closed then Error.raise_ (Error.State "append to a closed sink");
   let seq = t.next_seq in
   let frame = Frame.encode_record ~seq body in
-  (match Chaos.on_append ~seq ~len:(String.length frame) with
+  (match Failpt.eval "journal.crash" with
   | None -> Buffer.add_string t.buf frame
-  | Some keep ->
+  | Some o ->
       (* Injected crash: land every whole frame buffered so far (a real
          kill loses nothing that reached the page cache), then leave
          the torn prefix and abandon the process state right here. *)
+      let keep = match o with Failpt.Short k -> min k (String.length frame) | _ -> 0 in
       (try write_all t.fd (Buffer.contents t.buf) with Unix.Unix_error _ -> ());
       (try write_all t.fd (String.sub frame 0 keep) with Unix.Unix_error _ -> ());
       t.closed <- true;
-      raise (Chaos.Crashed seq));
+      raise (Crashed seq));
   t.next_seq <- seq + 1;
   if Obs.enabled () then begin
     Obs.Registry.incr (Obs.Registry.counter "journal.appends");

@@ -15,9 +15,9 @@
     docs/JOURNAL.md).  {!barrier} forces the deferred sync, and is
     called by {!Sim.Service} before a checkpoint so a checkpoint's
     [upto_seq] only ever covers durable records.  An injected crash
-    ({!Chaos}) flushes whole buffered frames before writing the torn
-    prefix, so the tear lands exactly where a real kill would leave
-    it.
+    (the [journal.crash] failpoint, see {!Crashed}) flushes whole
+    buffered frames before writing the torn prefix, so the tear lands
+    exactly where a real kill would leave it.
 
     {2 I/O failures}
 
@@ -32,6 +32,16 @@
     journal is byte-identical to one that never failed. *)
 
 type t
+
+(** Raised from {!append} when the [journal.crash] failpoint fires;
+    carries the sequence number of the record whose append "died".
+    The record's frame is torn: [short(k)] lands its first [k] bytes
+    (a [k] at least the frame length models a crash after the write but
+    before the fsync), any other action lands none of it.  The sink is
+    closed, abandoning the in-process state as a real [kill -9]
+    would.  The site counts appends in this process, so on a fresh
+    journal [journal.crash=1*short(5)@K] crashes on record [K]. *)
+exception Crashed of int
 
 val magic : string
 val version : int
@@ -52,7 +62,7 @@ val open_append :
 
 (** [append t body] frames and buffers one record, returning its
     sequence number.  Not yet durable — call {!commit}.  Raises
-    {!Chaos.Crashed} at an armed crash point. *)
+    {!Crashed} when the [journal.crash] failpoint fires. *)
 val append : t -> string -> int
 
 (** Durability point: fsync now, or — inside a group-commit window —

@@ -191,8 +191,8 @@ let finish t =
   Journal.Sink.close t.sink;
   Simulator.finish t.sim
 
-(* Run to completion.  A [Chaos.Crashed] from an armed crash point
-   propagates to the caller with the sink already torn — exactly the
+(* Run to completion.  A [Journal.Sink.Crashed] from the journal.crash
+   failpoint propagates to the caller with the sink already torn — exactly the
    state a real crash leaves behind. *)
 let run t =
   while step t do

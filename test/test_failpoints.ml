@@ -14,7 +14,6 @@
 module Json = Server.Json
 module Protocol = Server.Protocol
 module Admission = Server.Admission
-module Chaos = Journal.Chaos
 module Experiment = Harness.Experiment
 module Sink = Journal.Sink
 module Checkpoint = Journal.Checkpoint
@@ -44,10 +43,10 @@ let with_dir f =
   Unix.mkdir dir 0o755;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-(* Every test that arms the registry disarms it on the way out, so no
-   schedule leaks into a later test (or into the server tests running
-   in the same binary). *)
-let with_failpoints f = Fun.protect ~finally:Failpt.deactivate f
+(* Every test that arms the registry hands it back to the environment
+   on the way out, so no schedule leaks into a later test and a
+   HIRE_FAILPOINTS schedule still covers the tests after it. *)
+let with_failpoints f = Fun.protect ~finally:Failpt.reset f
 
 (* ------------------------------------------------------------------ *)
 (* Registry grammar                                                    *)
@@ -58,7 +57,7 @@ let test_grammar_parses () =
   Failpt.load "seed=42; journal.fsync=1*eio, net.write=25%3*short(1);checkpoint.write=off";
   Alcotest.(check string)
     "describe round-trips the armed registry"
-    "seed=42 journal.fsync=1*eio net.write=25%3*short(1)"
+    "seed=42;journal.fsync=1*eio;net.write=25%3*short(1)"
     (Failpt.describe ());
   Alcotest.(check (list string))
     "armed sites sorted" [ "journal.fsync"; "net.write" ] (Failpt.armed_sites ());
@@ -91,6 +90,9 @@ let test_grammar_rejects () =
       "journal.write=eio(3)";
       "journal.write=delay(-1)";
       "journal.write=delay(inf)";
+      "journal.crash=short(5)@-1";
+      "journal.crash=short(5)@1.5";
+      "journal.crash=short(5)@";
     ]
   in
   List.iter
@@ -104,8 +106,8 @@ let test_grammar_rejects () =
    of that site) — never on what other sites did in between. *)
 let test_eval_deterministic () =
   with_failpoints @@ fun () ->
-  let pattern other_cadence =
-    Failpt.activate ~seed:7;
+  let pattern ?(seed = 7) other_cadence =
+    Failpt.activate ~seed;
     Failpt.set "a" "50%eio";
     Failpt.set "b" "50%enospc";
     List.init 64 (fun i ->
@@ -114,6 +116,7 @@ let test_eval_deterministic () =
   in
   let p1 = pattern 3 and p2 = pattern 2 in
   Alcotest.(check bool) "a's stream independent of b's evaluations" true (p1 = p2);
+  Alcotest.(check bool) "another seed, another stream" true (p1 <> pattern ~seed:8 3);
   Alcotest.(check bool) "50% fires sometimes" true (List.mem true p1);
   Alcotest.(check bool) "50% skips sometimes" true (List.mem false p1);
   (* count-bounded site fires exactly N times *)
@@ -124,6 +127,74 @@ let test_eval_deterministic () =
     |> List.fold_left ( + ) 0
   in
   Alcotest.(check int) "3* fires exactly thrice" 3 fires
+
+(* [@K] passes over the first K evaluations: the first fire is
+   evaluation K (counted from 0), and describe prints the skip back. *)
+let test_skip_count () =
+  with_failpoints @@ fun () ->
+  Failpt.load "seed=3;journal.crash=1*short(5)@4;x=eio@0";
+  Alcotest.(check string) "describe prints the skip"
+    "seed=3;journal.crash=1*short(5)@4;x=eio@0" (Failpt.describe ());
+  let fired = List.init 8 (fun _ -> Failpt.eval "journal.crash") in
+  Alcotest.(check (list bool)) "fires once, at evaluation 4"
+    [ false; false; false; false; true; false; false; false ]
+    (List.map Option.is_some fired);
+  Alcotest.(check bool) "with the armed action" true
+    (List.nth fired 4 = Some (Failpt.Short 5));
+  Alcotest.(check bool) "@0 fires at once" true (Failpt.eval "x" <> None);
+  (* a skipped evaluation draws nothing: P% streams start after the skip *)
+  let pattern spec =
+    Failpt.activate ~seed:9;
+    Failpt.set "p" spec;
+    List.init 32 (fun _ -> Failpt.eval "p" <> None)
+  in
+  let skipped = pattern "50%eio@8" in
+  Alcotest.(check (list bool)) "skipped prefix is quiet" (List.init 8 (fun _ -> false))
+    (List.filteri (fun i _ -> i < 8) skipped);
+  Alcotest.(check (list bool)) "then the unskipped stream"
+    (List.filteri (fun i _ -> i < 24) (pattern "50%eio"))
+    (List.filteri (fun i _ -> i >= 8) skipped)
+
+(* describe prints a HIRE_FAILPOINTS value: loading it re-arms the same
+   schedule, whatever the seed and site specs. *)
+let prop_describe_round_trips =
+  let spec =
+    QCheck.Gen.(
+      let* p = opt (int_range 0 100) in
+      let* n = opt (int_range 0 9) in
+      let* action =
+        oneofl [ "eio"; "enospc"; "etimedout"; "short(3)"; "delay(0.25)" ]
+      in
+      let* k = opt (int_range 0 500) in
+      return
+        (Printf.sprintf "%s%s%s%s"
+           (match p with Some p -> string_of_int p ^ "%" | None -> "")
+           (match n with Some n -> string_of_int n ^ "*" | None -> "")
+           action
+           (match k with Some k -> "@" ^ string_of_int k | None -> "")))
+  in
+  let schedule =
+    QCheck.Gen.(
+      pair (int_range 0 1_000_000)
+        (list_size (int_range 0 4)
+           (pair
+              (oneofl [ "journal.crash"; "journal.fsync"; "net.write"; "solver.flip" ])
+              (frequency [ (1, return "off"); (6, spec) ]))))
+  in
+  QCheck.Test.make ~name:"load (describe ()) re-arms the same schedule" ~count:200
+    (QCheck.make
+       ~print:(fun (seed, sites) ->
+         String.concat ";"
+           (Printf.sprintf "seed=%d" seed
+           :: List.map (fun (n, s) -> n ^ "=" ^ s) sites))
+       schedule)
+    (fun (seed, sites) ->
+      with_failpoints @@ fun () ->
+      Failpt.activate ~seed;
+      List.iter (fun (site, spec) -> Failpt.set site spec) sites;
+      let d = Failpt.describe () in
+      Failpt.load d;
+      String.equal d (Failpt.describe ()))
 
 (* ------------------------------------------------------------------ *)
 (* Sink: crash-consistent storage failures                             *)
@@ -456,8 +527,7 @@ let prop_failpoints_and_kill_lose_no_acked_job =
       let dir_a = fresh_dir () and dir_b = fresh_dir () in
       Fun.protect
         ~finally:(fun () ->
-          Chaos.disarm ();
-          Failpt.deactivate ();
+          Failpt.reset ();
           rm_rf dir_a;
           rm_rf dir_b)
         (fun () ->
@@ -478,13 +548,12 @@ let prop_failpoints_and_kill_lose_no_acked_job =
           let schedule = schedules.(sched_idx) in
           (* tortured run: failpoint schedule armed AND a kill anywhere *)
           Failpt.load schedule;
-          Chaos.arm ~crash_at ();
+          Failpt.set "journal.crash" (Printf.sprintf "1*short(5)@%d" crash_at);
           let engine_b = Admission.start ~dir:dir_b ~config:prop_config spec in
           match apply_ops_resilient engine_b script ~acked:[] with
           | acked_b, result_b ->
               (* the armed crash index fell past this run's lifetime: the
                  completed session must equal the control run outright *)
-              Chaos.disarm ();
               Failpt.deactivate ();
               if not (String.equal bytes_a (wal_bytes dir_b)) then
                 QCheck.Test.fail_reportf "seed %d sched %S: uncrashed WALs differ" seed
@@ -495,10 +564,9 @@ let prop_failpoints_and_kill_lose_no_acked_job =
                 QCheck.Test.fail_reportf "seed %d sched %S: uncrashed reports differ"
                   seed schedule;
               List.sort compare acked_a = List.sort compare acked_b
-          | exception Chaos.Crashed _ ->
+          | exception Journal.Sink.Crashed _ ->
               (* disk heals and the operator restarts: recovery runs with
                  the failpoints disarmed *)
-              Chaos.disarm ();
               Failpt.deactivate ();
               (* every durable [Admit] record is an admission whose ack
                  could have reached a client (WAL-before-ack) *)
@@ -740,7 +808,9 @@ let () =
           quick "grammar parses and describes" test_grammar_parses;
           quick "bad specs rejected" test_grammar_rejects;
           quick "seeded streams deterministic and independent" test_eval_deterministic;
-        ] );
+          quick "skip count delays the first fire" test_skip_count;
+        ]
+        @ qt [ prop_describe_round_trips ] );
       ( "sink",
         [
           quick "short write truncates and heals" test_sink_short_write_heals;

@@ -12,7 +12,6 @@ module Dec = Codec.Dec
 module Sink = Journal.Sink
 module Source = Journal.Source
 module Checkpoint = Journal.Checkpoint
-module Chaos = Journal.Chaos
 module Error = Journal.Error
 module Experiment = Harness.Experiment
 
@@ -245,22 +244,30 @@ let test_open_append_truncates_tear () =
     (Array.to_list l.Source.records);
   Alcotest.(check bool) "clean after reopen" true (l.Source.tail = Source.Clean)
 
-let test_chaos_tears_exactly () =
+(* Arm the journal.crash failpoint to tear [tear] bytes into the append
+   of record [at] of a fresh journal, for the duration of [f]. *)
+let with_crash_at ?(tear = 5) at f =
+  Fun.protect ~finally:Failpt.reset @@ fun () ->
+  Failpt.set "journal.crash" (Printf.sprintf "1*short(%d)@%d" tear at);
+  f ()
+
+let test_crash_tears_exactly () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "wal.bin" in
-  Fun.protect ~finally:Chaos.disarm @@ fun () ->
-  Chaos.arm ~crash_at:2 ~tear:3 ();
+  with_crash_at ~tear:3 2 @@ fun () ->
   let sink = Sink.create ~path ~header:"h" () in
   ignore (Sink.append sink "r0");
   ignore (Sink.append sink "r1");
   (match Sink.append sink "r2" with
-  | exception Chaos.Crashed seq -> Alcotest.(check int) "crashed at armed seq" 2 seq
+  | exception Sink.Crashed seq -> Alcotest.(check int) "crashed at armed seq" 2 seq
   | _ -> Alcotest.fail "armed crash did not fire");
   (* The file holds the two whole records plus a 3-byte torn prefix. *)
   let l = load_exn path in
   Alcotest.(check (list string)) "records before the crash" [ "r0"; "r1" ]
     (Array.to_list l.Source.records);
-  Alcotest.(check bool) "torn" true (l.Source.tail <> Source.Clean)
+  Alcotest.(check bool) "torn" true (l.Source.tail <> Source.Clean);
+  Alcotest.(check int) "exactly the armed tear landed" 3
+    (String.length (Source.read_file path) - l.Source.valid_end)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints                                                         *)
@@ -571,8 +578,7 @@ let rebuild header =
   Experiment.prepare ~config:journal_config (Experiment.spec_of_blob header)
 
 let crash_then_recover spec ~dir ~checkpoint_every ~crash_at =
-  Fun.protect ~finally:Chaos.disarm @@ fun () ->
-  Chaos.arm ~crash_at ();
+  with_crash_at crash_at @@ fun () ->
   (match
      Sim.Service.run
        (Sim.Service.start ~dir ~checkpoint_every
@@ -580,8 +586,7 @@ let crash_then_recover spec ~dir ~checkpoint_every ~crash_at =
           (Experiment.prepare ~config:journal_config spec))
    with
   | _ -> Alcotest.fail "armed crash did not fire"
-  | exception Chaos.Crashed _ -> ());
-  Chaos.disarm ();
+  | exception Sink.Crashed _ -> ());
   let r = Sim.Service.recover ~dir ~checkpoint_every ~rebuild () in
   (r, (Sim.Service.run r.Sim.Service.service).Sim.Simulator.report)
 
@@ -687,7 +692,7 @@ let () =
           quick "flipped CRC byte fails closed" test_flipped_crc_byte_fails_closed;
           quick "duplicate seq fails closed" test_duplicate_seq_fails_closed;
           quick "open_append truncates the tear" test_open_append_truncates_tear;
-          quick "chaos tears exactly at the armed seq" test_chaos_tears_exactly;
+          quick "chaos tears exactly at the armed seq" test_crash_tears_exactly;
         ] );
       ( "checkpoint",
         [ quick "round-trip, fallback, prune" test_checkpoint_roundtrip_and_fallback ] );

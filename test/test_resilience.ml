@@ -1,17 +1,18 @@
 (* Tests for the solver-resilience layer (docs/RESILIENCE.md): solve
-   budgets and graceful degradation on both MCMF backends, the chaos
-   harness, the runtime invariant guard, the greedy last-rung placer,
-   and end-to-end runs under pathological budgets.
+   budgets and graceful degradation on both MCMF backends, the solver
+   failpoints (solver.exhaust, solver.delay, solver.flip), the runtime
+   invariant guard, the greedy last-rung placer, and end-to-end runs
+   under pathological budgets.
 
-   Chaos state is pinned explicitly in every test ([Chaos.deactivate] /
-   [Chaos.activate ~seed] under [Fun.protect]), so the suite behaves
-   identically whether or not HIRE_CHAOS is set in the environment. *)
+   Every test that budgets a solve or guards a round pins the failpoint
+   registry ([faults_off] / [with_sites]) and hands it back to the
+   environment on exit, so the suite behaves identically whether or not
+   HIRE_FAILPOINTS is set, and later tests still run under it. *)
 
 module Graph = Flow.Graph
 module Mcmf = Flow.Mcmf
 module Cost_scaling = Flow.Cost_scaling
 module Budget = Flow.Budget
-module Chaos = Flow.Chaos
 module Verify = Flow.Verify
 module Guard = Hire.Guard
 module Pending = Hire.Pending
@@ -61,6 +62,18 @@ let inc_req ?(service = "netchain") ?(n = 10) () =
     connections = [];
   }
 
+let pinned f = Fun.protect ~finally:Failpt.reset f
+
+let faults_off f =
+  Failpt.deactivate ();
+  pinned f
+
+(* Arm exactly [sites] (site, spec) under [seed]. *)
+let with_sites ?(seed = 0) sites f =
+  Failpt.activate ~seed;
+  List.iter (fun (site, spec) -> Failpt.set site spec) sites;
+  pinned f
+
 (* n unit paths s -> m_i -> t with distinct costs: SSP needs exactly n
    augmentations, so step budgets cut it at a known prefix. *)
 let fan_graph n =
@@ -80,7 +93,7 @@ let fan_graph n =
 (* ------------------------------------------------------------------ *)
 
 let test_ssp_step_budget_partial () =
-  Chaos.deactivate ();
+  faults_off @@ fun () ->
   let g = fan_graph 8 in
   let r = Mcmf.solve ~budget:(Budget.make ~max_steps:3 ()) g in
   Alcotest.(check bool) "degraded" true r.Mcmf.degraded;
@@ -95,7 +108,7 @@ let test_ssp_step_budget_partial () =
   Alcotest.(check int) "prefix cost" 9 r.Mcmf.total_cost
 
 let test_ssp_unlimited_budget_identical () =
-  Chaos.deactivate ();
+  faults_off @@ fun () ->
   let g1 = fan_graph 8 and g2 = fan_graph 8 in
   let r1 = Mcmf.solve g1 in
   let r2 = Mcmf.solve ~budget:Budget.unlimited g2 in
@@ -104,7 +117,7 @@ let test_ssp_unlimited_budget_identical () =
   Alcotest.(check int) "same cost" r1.Mcmf.total_cost r2.Mcmf.total_cost
 
 let test_ssp_wall_zero () =
-  Chaos.deactivate ();
+  faults_off @@ fun () ->
   let g = fan_graph 4 in
   let r = Mcmf.solve ~budget:(Budget.make ~max_wall_s:0.0 ()) g in
   Alcotest.(check bool) "degraded" true r.Mcmf.degraded;
@@ -118,7 +131,7 @@ let test_ssp_wall_zero () =
 (* ------------------------------------------------------------------ *)
 
 let test_cost_scaling_abort_resets_flow () =
-  Chaos.deactivate ();
+  faults_off @@ fun () ->
   let g = fan_graph 8 in
   let r = Cost_scaling.solve ~budget:(Budget.make ~max_steps:1 ()) g in
   Alcotest.(check bool) "degraded" true r.Cost_scaling.degraded;
@@ -133,7 +146,7 @@ let test_cost_scaling_abort_resets_flow () =
   | Error v -> Alcotest.failf "reset flow invalid: %a" Verify.pp_violation v
 
 let test_cost_scaling_unlimited_budget_identical () =
-  Chaos.deactivate ();
+  faults_off @@ fun () ->
   let g1 = fan_graph 6 and g2 = fan_graph 6 in
   let r1 = Cost_scaling.solve g1 in
   let r2 = Cost_scaling.solve ~budget:Budget.unlimited g2 in
@@ -146,18 +159,18 @@ let test_cost_scaling_unlimited_budget_identical () =
 (* ------------------------------------------------------------------ *)
 
 let test_budget_forced_exhaustion_sticky () =
-  Chaos.deactivate ();
+  faults_off @@ fun () ->
   let st = Budget.start Budget.unlimited in
   Alcotest.(check bool) "unlimited never fires" true (Budget.check st = None);
   Budget.force_exhaustion st;
   (match Budget.check st with
-  | Some Budget.Chaos -> ()
-  | _ -> Alcotest.fail "forced exhaustion should report Chaos");
+  | Some Budget.Forced -> ()
+  | _ -> Alcotest.fail "forced exhaustion should report Forced");
   (* Sticky: stays exhausted on re-check. *)
   Alcotest.(check bool) "sticky" true (Budget.check st <> None)
 
 let test_budget_injected_delay_ages_wall () =
-  Chaos.deactivate ();
+  faults_off @@ fun () ->
   let st = Budget.start (Budget.make ~max_wall_s:10.0 ()) in
   Alcotest.(check bool) "fresh budget ok" true (Budget.check st = None);
   Budget.inject_delay st 11.0;
@@ -166,66 +179,30 @@ let test_budget_injected_delay_ages_wall () =
   | _ -> Alcotest.fail "injected delay should exhaust the wall budget"
 
 (* ------------------------------------------------------------------ *)
-(* Chaos harness                                                       *)
+(* Solver failpoints                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let with_chaos seed f =
-  Chaos.activate ~seed;
-  Fun.protect ~finally:Chaos.deactivate f
-
-let test_chaos_corruption_caught_by_verify () =
-  with_chaos 42 @@ fun () ->
-  (* The draw fires with p=1/2; try fresh graphs until it does. *)
-  let rec go tries =
-    if tries = 0 then Alcotest.fail "corrupt_solution never fired in 64 draws"
-    else begin
-      let g = fan_graph 6 in
-      let r = Mcmf.solve g in
-      Alcotest.(check bool) "unbudgeted solve untouched" false r.Mcmf.degraded;
-      match Chaos.corrupt_solution g with
-      | None -> go (tries - 1)
-      | Some _ -> (
-          match Verify.check g with
-          | Error _ -> ()
-          | Ok () -> Alcotest.fail "corrupted flow passed Verify.check")
-    end
-  in
-  go 64
-
-let test_chaos_deterministic_given_seed () =
-  let draws seed =
-    with_chaos seed @@ fun () ->
-    List.init 32 (fun i ->
-        Chaos.draw_solve ~backend:(if i mod 2 = 0 then "ssp" else "cost-scaling"))
-  in
-  Alcotest.(check bool) "same seed, same draws" true (draws 7 = draws 7);
-  Alcotest.(check bool) "different seed, different draws" true (draws 7 <> draws 8)
-
-(* Streams are independent: a backend's draw sequence does not depend on
-   how many draws other streams made in between, so one injection
-   site's decisions never shift with another site's draw count. *)
-let test_chaos_streams_independent () =
-  let ssp_only seed =
-    with_chaos seed @@ fun () -> List.init 16 (fun _ -> Chaos.draw_solve ~backend:"ssp")
-  in
-  let ssp_interleaved seed =
-    with_chaos seed @@ fun () ->
-    List.init 16 (fun _ ->
-        let d = Chaos.draw_solve ~backend:"ssp" in
-        ignore (Chaos.draw_solve ~backend:"cost-scaling");
-        d)
-  in
-  Alcotest.(check bool)
-    "ssp stream unaffected by cost-scaling draws" true
-    (ssp_only 7 = ssp_interleaved 7)
-
-let test_chaos_off_is_inert () =
-  Chaos.deactivate ();
-  Alcotest.(check bool) "no perturbation" true
-    (Chaos.draw_solve ~backend:"ssp" = (false, 0.0));
-  let g = fan_graph 3 in
-  ignore (Mcmf.solve g);
-  Alcotest.(check bool) "no corruption" true (Chaos.corrupt_solution g = None)
+(* Every fired solver.flip is caught by Verify.check; a draw that does
+   not fire leaves the solved flow valid. *)
+let test_flip_caught_by_verify () =
+  with_sites ~seed:42 [ ("solver.flip", "50%eio") ] @@ fun () ->
+  let flips = ref 0 in
+  for i = 0 to 63 do
+    let g = fan_graph (1 + (i mod 8)) in
+    let r = Mcmf.solve g in
+    Alcotest.(check bool) "unbudgeted solve untouched" false r.Mcmf.degraded;
+    match Verify.flip_failpoint g with
+    | None -> (
+        match Verify.check g with
+        | Ok () -> ()
+        | Error v -> Alcotest.failf "unflipped flow invalid: %a" Verify.pp_violation v)
+    | Some _ -> (
+        incr flips;
+        match Verify.check g with
+        | Error _ -> ()
+        | Ok () -> Alcotest.fail "flipped flow passed Verify.check")
+  done;
+  Alcotest.(check bool) "50% fired sometimes" true (!flips > 0 && !flips < 64)
 
 (* ------------------------------------------------------------------ *)
 (* Invariant guard                                                     *)
@@ -287,7 +264,7 @@ let test_guard_server_overcommit () =
     (Guard.check_placements view ~params ~placements:[ (ts, s) ])
 
 let test_guard_flow_check_flags_corruption () =
-  Chaos.deactivate ();
+  faults_off @@ fun () ->
   let g = fan_graph 4 in
   ignore (Mcmf.solve g);
   (match Guard.check_flow g with
@@ -320,6 +297,31 @@ let run_resilient ?server_only ?resilience ?(seed = 11) () =
   let result = Sim.Simulator.run cluster sched arrivals in
   (cluster, sched, result.Sim.Simulator.report)
 
+(* The scope rule: with every solver site armed to fire on its first
+   evaluation, unbudgeted solves and an unguarded, unbudgeted run are
+   unchanged and evaluate no site; a budgeted solve does. *)
+let test_solver_sites_scope () =
+  let unbudgeted () =
+    let r = Mcmf.solve (fan_graph 8) and cs = Cost_scaling.solve (fan_graph 8) in
+    let _, _, report = run_resilient () in
+    ( (r.Mcmf.shipped, r.Mcmf.total_cost, r.Mcmf.degraded),
+      (cs.Cost_scaling.shipped, cs.Cost_scaling.total_cost, cs.Cost_scaling.degraded),
+      Format.asprintf "%a" Sim.Metrics.pp_report report )
+  in
+  let plain = faults_off unbudgeted in
+  let sites =
+    [ ("solver.delay", "1*delay(1)"); ("solver.exhaust", "1*eio"); ("solver.flip", "1*eio") ]
+  in
+  with_sites sites @@ fun () ->
+  Alcotest.(check bool) "unbudgeted solves and unguarded run unchanged" true
+    (unbudgeted () = plain);
+  Alcotest.(check (list string)) "no site evaluated" (List.map fst sites)
+    (Failpt.armed_sites ());
+  let budgeted = Mcmf.solve ~budget:Budget.unlimited (fan_graph 8) in
+  Alcotest.(check bool) "a budgeted solve is perturbed" true budgeted.Mcmf.degraded;
+  Alcotest.(check (list string)) "budgeted solve evaluated its sites" [ "solver.flip" ]
+    (Failpt.armed_sites ())
+
 let assert_conserved ?(drained = true) name cluster (sched : Sim.Scheduler_intf.t) =
   let topo = Sim.Cluster.topo cluster in
   Alcotest.(check bool)
@@ -338,7 +340,7 @@ let assert_conserved ?(drained = true) name cluster (sched : Sim.Scheduler_intf.
     Alcotest.(check bool) (name ^ ": scheduler drained") false (sched.pending ())
 
 let test_e2e_zero_budget_degrades_and_completes () =
-  Chaos.deactivate ();
+  faults_off @@ fun () ->
   (* Server-only arrivals: the greedy last rung never makes flavor
      decisions, so only flavor-free work is guaranteed to drain when
      every solve exhausts its budget. *)
@@ -352,7 +354,7 @@ let test_e2e_zero_budget_degrades_and_completes () =
   assert_conserved "zero budget" cluster sched
 
 let test_e2e_zero_budget_mixed_conserves () =
-  Chaos.deactivate ();
+  faults_off @@ fun () ->
   (* With INC flavors in the mix, undecided groups legitimately wait for
      a healthy flow round that never comes — the run must still
      terminate with the ledgers clean, just not fully drained. *)
@@ -364,22 +366,22 @@ let test_e2e_zero_budget_mixed_conserves () =
   assert_conserved ~drained:false "zero budget mixed" cluster sched
 
 let test_e2e_no_policy_reports_nothing () =
-  Chaos.deactivate ();
+  faults_off @@ fun () ->
   let cluster, sched, r = run_resilient () in
   Alcotest.(check int) "no degraded rounds" 0 r.Sim.Metrics.degraded_rounds;
   Alcotest.(check int) "no fallbacks" 0 r.Sim.Metrics.fallback_rounds;
   Alcotest.(check int) "no guard trips" 0 r.Sim.Metrics.guard_trips;
   assert_conserved "no policy" cluster sched
 
-let test_e2e_chaos_guard_trips_and_recovers () =
-  with_chaos 1234 @@ fun () ->
-  (* Guard every solve; chaos corrupts ~half the guarded solutions, and
-     the chain must absorb every trip. *)
+let test_e2e_flip_trips_guard_and_recovers () =
+  with_sites ~seed:1234 [ ("solver.flip", "50%eio") ] @@ fun () ->
+  (* Guard every solve; solver.flip corrupts ~half the guarded
+     solutions, and the chain must absorb every trip. *)
   let resilience = Hire.Hire_scheduler.resilience ~guard_every:1 () in
   let cluster, sched, r = run_resilient ~resilience () in
   Alcotest.(check bool) "guard tripped" true (r.Sim.Metrics.guard_trips > 0);
   Alcotest.(check bool) "work still placed" true (r.Sim.Metrics.tgs_satisfied > 0);
-  assert_conserved "chaos+guard" cluster sched
+  assert_conserved "flip+guard" cluster sched
 
 (* Randomized: any budget x any fault plan -> the run terminates with
    capacity conserved and never double-places.  Full drain is only
@@ -390,7 +392,7 @@ let prop_budgets_and_faults_conserve =
     ~count:6
     QCheck.(pair (int_range 0 1_000_000) (int_range 0 3))
     (fun (seed, budget_kind) ->
-      Chaos.deactivate ();
+      faults_off @@ fun () ->
       let budget =
         match budget_kind with
         | 0 -> Some (Budget.make ~max_wall_s:0.0 ())
@@ -492,10 +494,8 @@ let () =
         ] );
       ( "chaos",
         [
-          quick "corruption is caught by Verify.check" test_chaos_corruption_caught_by_verify;
-          quick "deterministic given seed" test_chaos_deterministic_given_seed;
-          quick "streams are independent" test_chaos_streams_independent;
-          quick "inert when off" test_chaos_off_is_inert;
+          quick "corruption is caught by Verify.check" test_flip_caught_by_verify;
+          quick "inert when off" test_solver_sites_scope;
         ] );
       ( "guard",
         [
@@ -513,7 +513,7 @@ let () =
             test_e2e_zero_budget_mixed_conserves;
           quick "no policy: no resilience accounting" test_e2e_no_policy_reports_nothing;
           quick "chaos trips the guard, chain recovers"
-            test_e2e_chaos_guard_trips_and_recovers;
+            test_e2e_flip_trips_guard_and_recovers;
         ]
         @ qt [ prop_budgets_and_faults_conserve ] );
       ("cache", [ quick "resilience feeds the cell key" test_cell_key_resilience_axis ]);
