@@ -1,6 +1,6 @@
 (* Re-optimizing solve-path benchmark (docs/PERFORMANCE.md): measures
    the MCMF solve phase with the Classic SSP implementation against the
-   re-optimizing Fast path (early-terminating bucket/heap Dijkstra with
+   re-optimizing Fast path (early-terminating packed-heap Dijkstra with
    generation-stamped scratch and settled-only potential updates), and
    the end-to-end effect of the default pipeline (incremental builder +
    touched-arc flow reset + Fast solves) against full rebuilds.
@@ -117,7 +117,6 @@ type micro_result = {
   shipped : int;
   aug_hist : (string * int) list;  (* power-of-two buckets *)
   aug_mean : float;
-  queue_bucket : int;  (* Fast rounds served by the bucket queue *)
 }
 
 (* Power-of-two histogram buckets: "0", "1", "2-3", "4-7", ... *)
@@ -145,11 +144,6 @@ let run_micro fx ~rounds =
   let identical = ref true in
   let augs = ref [] in
   let arcs = ref 0 and shipped = ref 0 in
-  (* Instrumentation on so the solver records its queue selection; the
-     counter costs one increment per solve in both passes. *)
-  Obs.set_enabled true;
-  let bucket_counter = Obs.Registry.counter "flow.queue.bucket" in
-  let bucket0 = Obs.Registry.counter_value bucket_counter in
   Gc.full_major ();
   for i = 0 to rounds - 1 do
     mutate fx i;
@@ -180,7 +174,6 @@ let run_micro fx ~rounds =
     shipped := rf.Mcmf.shipped;
     augs := rf.Mcmf.augmentations :: !augs
   done;
-  Obs.set_enabled false;
   let n = List.length !augs in
   let aug_mean =
     if n = 0 then 0.0
@@ -197,7 +190,6 @@ let run_micro fx ~rounds =
     shipped = !shipped;
     aug_hist = histogram !augs;
     aug_mean;
-    queue_bucket = Obs.Registry.counter_value bucket_counter - bucket0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -403,7 +395,6 @@ let write_json path ~k ~n_jobs (m : micro_result) (p : pipeline_result)
   Printf.fprintf oc "    \"classic_wall_s\": %.6f,\n" m.classic_wall_s;
   Printf.fprintf oc "    \"fast_wall_s\": %.6f,\n" m.fast_wall_s;
   Printf.fprintf oc "    \"solve_speedup\": %.2f,\n" m.solve_speedup;
-  Printf.fprintf oc "    \"bucket_queue_rounds\": %d,\n" m.queue_bucket;
   Printf.fprintf oc "    \"augmentations_mean\": %.1f,\n" m.aug_mean;
   Printf.fprintf oc "    \"augmentations_hist\": { %s }\n"
     (String.concat ", "
@@ -433,10 +424,9 @@ let run rounds k queue_horizon e2e_horizon e2e_util no_e2e min_speedup
   Printf.printf "bench_reopt: k=%d rounds=%d pending-jobs=%d\n%!" k rounds n_jobs;
   let m = run_micro fx ~rounds in
   Printf.printf
-    "  solve phase (%d arcs): classic %.3fs, fast %.3fs  ->  %.2fx  (%d/%d rounds on \
-     the bucket queue, mean %.1f augmentations)\n"
-    m.arcs m.classic_wall_s m.fast_wall_s m.solve_speedup m.queue_bucket m.rounds
-    m.aug_mean;
+    "  solve phase (%d arcs): classic %.3fs, fast %.3fs  ->  %.2fx  (%d rounds, mean \
+     %.1f augmentations)\n"
+    m.arcs m.classic_wall_s m.fast_wall_s m.solve_speedup m.rounds m.aug_mean;
   Printf.printf "  objectives: %s\n" (if m.identical then "identical" else "MISMATCH");
   (* The pipeline comparison runs at the steady-state fixture
      BENCH_5.json's baselines were recorded on. *)

@@ -29,7 +29,6 @@ type t = {
   mutable touched : int array;     (* recorded pair ids *)
   mutable n_touched : int;
   mutable tflag : Bytes.t;         (* pair id -> already recorded? *)
-  mutable cost_ub : int;           (* max forward cost since [clear] *)
 }
 
 let create ?(node_hint = 16) ?(arc_hint = 64) () =
@@ -49,7 +48,6 @@ let create ?(node_hint = 16) ?(arc_hint = 64) () =
     touched = [||];
     n_touched = 0;
     tflag = Bytes.empty;
-    cost_ub = 0;
   }
 
 let grow_int_array arr cap fill =
@@ -121,7 +119,6 @@ let add_arc t ~src ~dst ~cap ~cost =
   let fwd = add_half t ~src ~dst ~cap ~cost in
   let (_ : arc) = add_half t ~src:dst ~dst:src ~cap:0 ~cost:(-cost) in
   if cost < 0 then t.n_negative <- t.n_negative + 1;
-  if cost > t.cost_ub then t.cost_ub <- cost;
   fwd
 
 let set_supply t v s =
@@ -226,12 +223,9 @@ let set_cost t a c =
   if old <> c then begin
     if old < 0 then t.n_negative <- t.n_negative - 1;
     if c < 0 then t.n_negative <- t.n_negative + 1;
-    if c > t.cost_ub then t.cost_ub <- c;
     t.cost_arr.(a) <- c;
     t.cost_arr.(rev a) <- -c
   end
-
-let cost_ub t = t.cost_ub
 
 let set_cap t a c =
   if not (is_forward a) then invalid_arg "Graph.set_cap: not a forward arc";
@@ -250,7 +244,6 @@ let clear t =
   t.n <- 0;
   t.m <- 0;
   t.n_negative <- 0;
-  t.cost_ub <- 0;
   clear_touched t
 
 type mark = {
@@ -290,6 +283,25 @@ let iter_out t v f =
     f !a;
     a := t.next.(!a)
   done
+
+type arrays = {
+  head : int array;
+  next : int array;
+  dst : int array;
+  cap : int array;
+  cost : int array;
+  supply : int array;
+}
+
+let arrays (t : t) =
+  {
+    head = t.head;
+    next = t.next;
+    dst = t.to_;
+    cap = t.cap;
+    cost = t.cost_arr;
+    supply = t.supply_arr;
+  }
 
 let fold_out t v init f =
   let acc = ref init in
@@ -337,9 +349,16 @@ let reset_touched_flows t =
     !restored
   end
 
+(* Every solve reports this, so it is a plain loop over the forward
+   arcs: no closure and no per-arc call. *)
 let flow_cost t =
   let acc = ref 0 in
-  iter_arcs t (fun a -> acc := !acc + (flow t a * t.cost_arr.(a)));
+  let a = ref 0 in
+  while !a < t.m do
+    let f = t.orig_cap.(!a) - t.cap.(!a) in
+    if f <> 0 then acc := !acc + (f * t.cost_arr.(!a));
+    a := !a + 2
+  done;
   !acc
 
 let conserves t =

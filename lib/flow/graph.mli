@@ -121,6 +121,29 @@ val release : t -> mark -> unit
     reverse) leaving [v]. *)
 val iter_out : t -> int -> (arc -> unit) -> unit
 
+(** The arena's own arrays, for a solver's inner loop that must not pay
+    a cross-module call per arc.  Residual arcs out of node [v] are
+    [head.(v)], [next.(head.(v))], ... up to [-1]; arc [a] goes to
+    [dst.(a)] (and comes from [dst.(rev a)]) with residual capacity
+    [cap.(a)] and cost [cost.(a)]; [supply.(v)] is node [v]'s supply.
+    Only indices below {!node_count} / [2 * ]{!arc_count} are live.
+
+    The record shares the arrays, so it sees every later {!push}.  It is
+    valid until the next {!add_node}, {!add_nodes}, {!add_arc} or
+    {!clear}, which may grow (reallocate) or empty the arena.  Callers
+    read it and never write through it: every mutation goes through this
+    module so flow tracking stays exact. *)
+type arrays = private {
+  head : int array;
+  next : int array;
+  dst : int array;
+  cap : int array;
+  cost : int array;
+  supply : int array;
+}
+
+val arrays : t -> arrays
+
 (** [fold_out t v init f] folds over residual arcs leaving [v]. *)
 val fold_out : t -> int -> 'a -> ('a -> arc -> 'a) -> 'a
 
@@ -154,13 +177,6 @@ val set_flow_tracking : t -> bool -> unit
     intercepts).  Falls back to a full {!reset_flows} when tracking is
     off, returning {!arc_count}. *)
 val reset_touched_flows : t -> int
-
-(** Largest forward-arc cost seen since the last {!clear} — a monotone
-    upper envelope ({!set_cost} never lowers it), used by the MCMF
-    solver to decide whether the bucket-queue Dijkstra applies.  Purely
-    a selection heuristic: it may overestimate after costs decrease,
-    which only costs performance, never correctness. *)
-val cost_ub : t -> int
 
 (** Total cost of the current flow: sum over forward arcs of
     [flow * cost]. *)

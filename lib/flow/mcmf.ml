@@ -1,7 +1,5 @@
 module Heap = Prelude.Heap
-module Bucket_queue = Prelude.Bucket_queue
 module Clock = Prelude.Clock
-module Int_tbl = Prelude.Int_tbl
 
 type result = {
   shipped : int;
@@ -13,23 +11,17 @@ type result = {
   profile : Obs.Solver_profile.t;
 }
 
-(* [Fast] is the production path: early-terminating Dijkstra with
-   generation-stamped arrays, settled-only potential updates and an
-   automatically selected bucket queue.  [Classic] is the historical
-   full-settle implementation, kept verbatim as the measured baseline of
-   bench_reopt (docs/PERFORMANCE.md); both are exact and produce
-   min-cost flows, but they may break ties between equally-cheap paths
-   differently, so a run must use one algorithm throughout. *)
+(* [Fast] is the production path: early-terminating Dijkstra on a
+   packed-key heap over the graph's arrays, generation-stamped arrays
+   and settled-only potential updates.  [Classic] is the historical
+   full-settle implementation, kept as test_reopt's oracle and the
+   measured baseline of bench_reopt (docs/PERFORMANCE.md); both are
+   exact and produce min-cost flows, but they may break ties between
+   equally-cheap paths differently, so a run must use one algorithm
+   throughout. *)
 type algo = Classic | Fast
 
 let infinity_dist = max_int / 4
-
-(* Keys in the bucket queue are reduced-cost path lengths, so its memory
-   is proportional to the longest shortest-path; only use it when arc
-   costs are small enough that this stays cheap.  Purely a performance
-   heuristic: both queues pop in the same canonical (key, node) order,
-   so the selection can never change results. *)
-let bucket_cost_limit = 1 lsl 16
 
 (* Reusable solver workspace.  Arrays are grown (never shrunk) to the
    instance size, so a scheduler that solves a similarly-sized network
@@ -37,7 +29,9 @@ let bucket_cost_limit = 1 lsl 16
 
    [dist]/[parent] entries are valid only where [stamp] holds the
    current [gen] — bumping [gen] invalidates both arrays in O(1),
-   replacing the per-Dijkstra O(n) fills of the classic path. *)
+   replacing the per-Dijkstra O(n) fills of the classic path.  The
+   [dec_*] arrays are [decompose]'s, stamped the same way by
+   [dec_gen]. *)
 type scratch = {
   mutable excess : int array;
   mutable pot : int array;
@@ -49,8 +43,18 @@ type scratch = {
   mutable n_settled : int;
   mutable sources : int array;  (* compact positive-excess node list *)
   mutable n_sources : int;
-  heap : Heap.Int_pair.t;
-  bucket : Bucket_queue.t;
+  mutable heap : int array;  (* packed-key binary min-heap, see [heap_push] *)
+  mutable heap_len : int;
+  mutable node_bits : int;
+  mutable max_key_dist : int;
+  classic_heap : Heap.Int_pair.t;
+  mutable dec_cursor : int array;  (* next unexamined residual arc per node *)
+  mutable dec_demand : int array;  (* demand not yet met by a decomposed path *)
+  mutable dec_rem : int array;  (* flow not yet decomposed, per arc pair *)
+  mutable dec_stamp : int array;  (* pair -> [dec_gen] once [dec_rem] is loaded *)
+  mutable dec_gen : int;
+  mutable dec_nodes : int array;  (* the current walk's nodes, sink excluded *)
+  mutable dec_arcs : int array;  (* the current walk's arcs *)
 }
 
 let scratch () =
@@ -65,8 +69,18 @@ let scratch () =
     n_settled = 0;
     sources = [||];
     n_sources = 0;
-    heap = Heap.Int_pair.create ();
-    bucket = Bucket_queue.create ();
+    heap = [||];
+    heap_len = 0;
+    node_bits = 0;
+    max_key_dist = 0;
+    classic_heap = Heap.Int_pair.create ();
+    dec_cursor = [||];
+    dec_demand = [||];
+    dec_rem = [||];
+    dec_stamp = [||];
+    dec_gen = 0;
+    dec_nodes = [||];
+    dec_arcs = [||];
   }
 
 let ensure_scratch s n =
@@ -82,6 +96,71 @@ let ensure_scratch s n =
     (* Fresh stamps read as stale for any positive generation. *)
     s.gen <- max 1 s.gen
   end
+
+(* ------------------------------------------------------------------ *)
+(* Packed-key binary heap                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Entries are single ints [dist lsl node_bits lor node].  With [node]
+   below [2^node_bits] and [dist] at most [max_key_dist], integer order
+   on the packed keys is exactly the lexicographic (dist, node) order in
+   which [Heap.Int_pair] pops, so both queues settle nodes in the same
+   canonical sequence.  There is no decrease-key: Dijkstra pushes one
+   entry per improvement and skips stale ones at pop time. *)
+let set_key_width s n =
+  let bits = ref 0 in
+  while 1 lsl !bits < n do
+    incr bits
+  done;
+  s.node_bits <- !bits;
+  s.max_key_dist <- (1 lsl (62 - !bits)) - 1
+
+let heap_push s d v =
+  if d < 0 || d > s.max_key_dist then
+    invalid_arg
+      (Printf.sprintf "Mcmf.solve: distance %d does not fit a heap key beside %d node bits" d
+         s.node_bits);
+  let key = (d lsl s.node_bits) lor v in
+  let len = s.heap_len in
+  if len = Array.length s.heap then begin
+    let grown = Array.make (max 64 (2 * len)) 0 in
+    Array.blit s.heap 0 grown 0 len;
+    s.heap <- grown
+  end;
+  let h = s.heap in
+  let i = ref len in
+  while !i > 0 && h.((!i - 1) lsr 1) > key do
+    let p = (!i - 1) lsr 1 in
+    h.(!i) <- h.(p);
+    i := p
+  done;
+  h.(!i) <- key;
+  s.heap_len <- len + 1
+
+(* Removes and returns the minimum packed key; the heap is non-empty. *)
+let heap_pop s =
+  let h = s.heap in
+  let top = h.(0) in
+  let len = s.heap_len - 1 in
+  s.heap_len <- len;
+  if len > 0 then begin
+    let last = h.(len) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= len then sifting := false
+      else begin
+        let c = if l + 1 < len && h.(l + 1) < h.(l) then l + 1 else l in
+        if h.(c) < last then begin
+          h.(!i) <- h.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    h.(!i) <- last
+  end;
+  top
 
 (* SPFA (queue-based Bellman–Ford) from every positive-excess node; used
    only to bootstrap potentials when negative arc costs are present. *)
@@ -164,7 +243,7 @@ let dijkstra_classic g excess pot dist parent heap =
 (* ------------------------------------------------------------------ *)
 
 (* Drop positive-excess nodes that have been drained since the last
-   Dijkstra; the surviving order is irrelevant because both queues pop
+   Dijkstra; the surviving order is irrelevant because the heap pops
    sources in canonical (0, node) order regardless of push order. *)
 let compact_sources s =
   let i = ref 0 in
@@ -183,17 +262,16 @@ let compact_sources s =
    exactly the minimum-(dist, node) reachable deficit — the same node
    the classic path picks with its post-settle O(n) scan — and the
    parent chain above it is final at that point.  [dist]/[parent] are
-   stamped with [s.gen]; everything else in them is garbage.
-
-   The two bodies below are identical except for the queue type; they
-   are kept monomorphic (no first-class module) to avoid indirect calls
-   in the innermost loop. *)
-let dijkstra_fast_heap g s =
+   stamped with [s.gen]; everything else in them is garbage.  The arc
+   loop reads the graph's arrays [ga] directly. *)
+let dijkstra_fast (ga : Graph.arrays) s =
   let excess = s.excess and pot = s.pot and dist = s.dist in
   let parent = s.parent and stamp = s.stamp in
-  let gen = s.gen in
-  let h = s.heap in
-  Heap.Int_pair.clear h;
+  let head = ga.head and next = ga.next and dst = ga.dst in
+  let cap = ga.cap and cost = ga.cost in
+  let gen = s.gen and bits = s.node_bits in
+  let mask = (1 lsl bits) - 1 in
+  s.heap_len <- 0;
   s.n_settled <- 0;
   compact_sources s;
   for i = 0 to s.n_sources - 1 do
@@ -201,73 +279,40 @@ let dijkstra_fast_heap g s =
     dist.(v) <- 0;
     parent.(v) <- -1;
     stamp.(v) <- gen;
-    Heap.Int_pair.push h 0 v
+    heap_push s 0 v
   done;
   let target = ref (-1) in
-  while !target < 0 && not (Heap.Int_pair.is_empty h) do
-    let d = Heap.Int_pair.min_key h in
-    let v = Heap.Int_pair.pop h in
+  while !target < 0 && s.heap_len > 0 do
+    let key = heap_pop s in
+    let d = key lsr bits and v = key land mask in
     (* Stale-entry skip: a pop whose key exceeds the node's current
        distance was superseded by a later push (no decrease-key). *)
     if d = dist.(v) && stamp.(v) = gen then begin
       s.settled.(s.n_settled) <- v;
       s.n_settled <- s.n_settled + 1;
       if excess.(v) < 0 then target := v
-      else
-        Graph.iter_out g v (fun a ->
-            if Graph.residual_cap g a > 0 then begin
-              let u = Graph.dst g a in
-              let rc = Graph.cost g a + pot.(v) - pot.(u) in
-              let rc = if rc < 0 then 0 else rc in
-              let nd = d + rc in
-              if nd < (if stamp.(u) = gen then dist.(u) else infinity_dist) then begin
-                dist.(u) <- nd;
-                parent.(u) <- a;
-                stamp.(u) <- gen;
-                Heap.Int_pair.push h nd u
-              end
-            end)
-    end
-  done;
-  !target
-
-let dijkstra_fast_bucket g s =
-  let excess = s.excess and pot = s.pot and dist = s.dist in
-  let parent = s.parent and stamp = s.stamp in
-  let gen = s.gen in
-  let q = s.bucket in
-  Bucket_queue.clear q;
-  s.n_settled <- 0;
-  compact_sources s;
-  for i = 0 to s.n_sources - 1 do
-    let v = s.sources.(i) in
-    dist.(v) <- 0;
-    parent.(v) <- -1;
-    stamp.(v) <- gen;
-    Bucket_queue.push q 0 v
-  done;
-  let target = ref (-1) in
-  while !target < 0 && not (Bucket_queue.is_empty q) do
-    let d = Bucket_queue.min_key q in
-    let v = Bucket_queue.pop q in
-    if d = dist.(v) && stamp.(v) = gen then begin
-      s.settled.(s.n_settled) <- v;
-      s.n_settled <- s.n_settled + 1;
-      if excess.(v) < 0 then target := v
-      else
-        Graph.iter_out g v (fun a ->
-            if Graph.residual_cap g a > 0 then begin
-              let u = Graph.dst g a in
-              let rc = Graph.cost g a + pot.(v) - pot.(u) in
-              let rc = if rc < 0 then 0 else rc in
-              let nd = d + rc in
-              if nd < (if stamp.(u) = gen then dist.(u) else infinity_dist) then begin
-                dist.(u) <- nd;
-                parent.(u) <- a;
-                stamp.(u) <- gen;
-                Bucket_queue.push q nd u
-              end
-            end)
+      else begin
+        let pot_v = pot.(v) in
+        let a = ref head.(v) in
+        while !a >= 0 do
+          let arc = !a in
+          if cap.(arc) > 0 then begin
+            let u = dst.(arc) in
+            (* Reduced costs are non-negative once potentials are
+               valid; clamp the negatives that unreached nodes' stale
+               potentials can produce. *)
+            let rc = cost.(arc) + pot_v - pot.(u) in
+            let nd = if rc < 0 then d else d + rc in
+            if nd < (if stamp.(u) = gen then dist.(u) else infinity_dist) then begin
+              dist.(u) <- nd;
+              parent.(u) <- arc;
+              stamp.(u) <- gen;
+              heap_push s nd u
+            end
+          end;
+          a := next.(arc)
+        done
+      end
     end
   done;
   !target
@@ -302,9 +347,9 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
         (s, false)
   in
   let excess = s.excess and pot = s.pot and dist = s.dist and parent = s.parent in
-  for v = 0 to n - 1 do
-    excess.(v) <- Graph.supply g v
-  done;
+  (* Fetched once: nothing in a solve adds nodes or arcs. *)
+  let ga = Graph.arrays g in
+  Array.blit ga.supply 0 excess 0 n;
   (* Potentials start from zero and are bootstrapped with SPFA only if
      the graph actually has a negative-cost arc (tracked by the graph,
      no O(m) rescan here). *)
@@ -315,19 +360,8 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
       if bf.(v) < infinity_dist then pot.(v) <- bf.(v)
     done
   end;
-  (* Queue selection for the fast path: bucket Dijkstra when all costs
-     are non-negative and bounded (both always true for the HIRE cost
-     model, whose scaled terms top out at the 6×cost_scale sentinel),
-     binary heap otherwise.  Identical pop order either way. *)
-  let use_bucket =
-    algo = Fast && (not (Graph.has_negative_cost g)) && Graph.cost_ub g <= bucket_cost_limit
-  in
-  if instrument then begin
-    if scratch_reused then Obs.Registry.incr (Obs.Registry.counter "flow.scratch_reuse");
-    if algo = Fast then
-      Obs.Registry.incr
-        (Obs.Registry.counter (if use_bucket then "flow.queue.bucket" else "flow.queue.heap"))
-  end;
+  if instrument && scratch_reused then
+    Obs.Registry.incr (Obs.Registry.counter "flow.scratch_reuse");
   let shipped = ref 0 in
   let augmentations = ref 0 in
   let exhausted = ref None in
@@ -355,6 +389,7 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
   let continue_ = ref (!remaining > 0) in
   (match algo with
   | Fast ->
+      set_key_width s n;
       while !continue_ do
         (* Budget checked at augmentation boundaries: an SSP prefix is a
            valid min-cost flow for its value, so stopping here leaves a
@@ -363,8 +398,7 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
         else begin
           s.gen <- s.gen + 1;
           let target =
-            staged t_dijkstra (fun () ->
-                if use_bucket then dijkstra_fast_bucket g s else dijkstra_fast_heap g s)
+            staged t_dijkstra (fun () -> dijkstra_fast ga s)
           in
           if target < 0 then continue_ := false
           else
@@ -421,7 +455,7 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
       while !continue_ do
         if not (within_budget ()) then continue_ := false
         else begin
-          staged t_dijkstra (fun () -> dijkstra_classic g excess pot dist parent s.heap);
+          staged t_dijkstra (fun () -> dijkstra_classic g excess pot dist parent s.classic_heap);
           (* Nearest reachable deficit node. *)
           let best = ref (-1) in
           for v = 0 to n - 1 do
@@ -502,53 +536,105 @@ let solve ?budget ?scratch:s ?(algo = Fast) g =
 
 type path = { nodes : int list; amount : int }
 
-let decompose g =
+let ensure_decompose s ~nodes ~pairs =
+  if Array.length s.dec_cursor < nodes then begin
+    let cap = max nodes (2 * Array.length s.dec_cursor) in
+    s.dec_cursor <- Array.make cap 0;
+    s.dec_demand <- Array.make cap 0;
+    s.dec_nodes <- Array.make cap 0;
+    s.dec_arcs <- Array.make cap 0
+  end;
+  if Array.length s.dec_rem < pairs then begin
+    let cap = max pairs (2 * Array.length s.dec_rem) in
+    s.dec_rem <- Array.make cap 0;
+    (* Zero stamps read as stale: [dec_gen] is positive once bumped. *)
+    s.dec_stamp <- Array.make cap 0
+  end
+
+(* Peels paths off in a fixed order: sources by id, and out of each node
+   the first forward arc (in adjacency order) with flow left.  Remaining
+   flow only decreases, so an arc passed over once is never eligible
+   again, and each node keeps a cursor into its adjacency list instead
+   of rescanning it from the head.  Remaining flow is loaded per arc
+   pair on first read (stamped with [dec_gen]), so the setup is O(n),
+   not O(arcs). *)
+let decompose ?scratch:s g =
+  let s = match s with Some s -> s | None -> scratch () in
   let n = Graph.node_count g in
-  (* Remaining flow per forward arc, consumed as paths are peeled off. *)
-  let rem = Int_tbl.create 256 in
-  Graph.iter_arcs g (fun a ->
-      let f = Graph.flow g a in
-      if f > 0 then Int_tbl.replace rem a f);
-  let rem_supply = Array.init n (fun v -> max 0 (Graph.supply g v)) in
-  let rem_demand = Array.init n (fun v -> max 0 (-Graph.supply g v)) in
-  let out_with_flow v =
-    Graph.fold_out g v None (fun acc a ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-            if Graph.is_forward a && Int_tbl.mem rem a && Int_tbl.find rem a > 0 then Some a
-            else None)
+  ensure_decompose s ~nodes:n ~pairs:(Graph.arc_count g);
+  s.dec_gen <- s.dec_gen + 1;
+  let gen = s.dec_gen in
+  let cursor = s.dec_cursor and demand = s.dec_demand in
+  let rem = s.dec_rem and rem_stamp = s.dec_stamp in
+  let walk_nodes = s.dec_nodes and walk_arcs = s.dec_arcs in
+  let ga = Graph.arrays g in
+  let next = ga.next and dst = ga.dst and supply = ga.supply in
+  for v = 0 to n - 1 do
+    cursor.(v) <- ga.head.(v);
+    demand.(v) <- (if supply.(v) < 0 then -supply.(v) else 0)
+  done;
+  let remaining a =
+    let p = a lsr 1 in
+    if rem_stamp.(p) = gen then rem.(p)
+    else begin
+      let f = Int.max 0 (Graph.flow g a) in
+      rem.(p) <- f;
+      rem_stamp.(p) <- gen;
+      f
+    end
+  in
+  let rec out_with_flow v =
+    let a = cursor.(v) in
+    if a < 0 then -1
+    else if a land 1 = 0 (* forward *) && remaining a > 0 then a
+    else begin
+      cursor.(v) <- next.(a);
+      out_with_flow v
+    end
   in
   let paths = ref [] in
   for source = 0 to n - 1 do
-    while rem_supply.(source) > 0 && out_with_flow source <> None do
-      (* Walk positive-flow arcs until we hit a node with remaining
-         demand and no further mandatory outflow, collecting the
-         bottleneck. *)
-      let rec walk v acc_nodes acc_arcs bottleneck =
-        if rem_demand.(v) > 0 then (List.rev (v :: acc_nodes), List.rev acc_arcs, min bottleneck rem_demand.(v))
-        else
-          match out_with_flow v with
-          | None ->
-              (* Conservation guarantees this only happens at a demand
-                 node; treat as sink with whatever bottleneck we have. *)
-              (List.rev (v :: acc_nodes), List.rev acc_arcs, bottleneck)
-          | Some a ->
-              let f = Int_tbl.find rem a in
-              walk (Graph.dst g a) (v :: acc_nodes) (a :: acc_arcs) (min bottleneck f)
-      in
-      let nodes, arcs, bottleneck = walk source [] [] rem_supply.(source) in
-      if bottleneck <= 0 || arcs = [] then rem_supply.(source) <- 0 (* degenerate; stop *)
+    let left = ref (Int.max 0 supply.(source)) in
+    while !left > 0 && out_with_flow source >= 0 do
+      (* Walk positive-flow arcs until a node with remaining demand, or
+         one with no flow left out of it, collecting the bottleneck.
+         Nothing changes during a walk, so a walk that revisits a node
+         would circle forever: more than [n - 1] arcs means a flow
+         cycle. *)
+      let len = ref 0 and v = ref source and bottleneck = ref !left in
+      let walking = ref true in
+      while !walking do
+        if demand.(!v) > 0 then begin
+          bottleneck := Int.min !bottleneck demand.(!v);
+          walking := false
+        end
+        else begin
+          let a = out_with_flow !v in
+          if a < 0 then walking := false
+          else begin
+            if !len >= n then invalid_arg "Mcmf.decompose: the flow has a cycle";
+            walk_nodes.(!len) <- !v;
+            walk_arcs.(!len) <- a;
+            incr len;
+            bottleneck := Int.min !bottleneck (remaining a);
+            v := dst.(a)
+          end
+        end
+      done;
+      if !bottleneck <= 0 || !len = 0 then left := 0 (* degenerate; stop *)
       else begin
-        List.iter
-          (fun a ->
-            let f = Int_tbl.find rem a - bottleneck in
-            if f <= 0 then Int_tbl.remove rem a else Int_tbl.replace rem a f)
-          arcs;
-        let sink = List.nth nodes (List.length nodes - 1) in
-        rem_supply.(source) <- rem_supply.(source) - bottleneck;
-        rem_demand.(sink) <- max 0 (rem_demand.(sink) - bottleneck);
-        paths := { nodes; amount = bottleneck } :: !paths
+        let amount = !bottleneck and sink = !v in
+        for i = 0 to !len - 1 do
+          let p = walk_arcs.(i) lsr 1 in
+          rem.(p) <- rem.(p) - amount
+        done;
+        left := !left - amount;
+        demand.(sink) <- Int.max 0 (demand.(sink) - amount);
+        let nodes = ref [ sink ] in
+        for i = !len - 1 downto 0 do
+          nodes := walk_nodes.(i) :: !nodes
+        done;
+        paths := { nodes = !nodes; amount } :: !paths
       end
     done
   done;

@@ -40,11 +40,13 @@ type result = {
           when [Obs.enabled ()] held during the solve *)
 }
 
-(** Reusable solver workspace: excess/potential/distance/parent arrays
-    and the Dijkstra heap.  Pass the same scratch to successive [solve]
-    calls on similarly-sized graphs and the solver allocates nothing on
-    the hot path after the first round.  Reusing scratch never changes
-    results — the workspace is (re)initialised at every solve. *)
+(** Reusable solver workspace: excess/potential/distance/parent arrays,
+    the Dijkstra heap, and {!decompose}'s cursor, demand and
+    remaining-flow arrays.  Pass the same scratch to successive [solve]
+    and [decompose] calls on similarly-sized graphs and neither allocates
+    on the hot path after the first round (beyond [decompose]'s result
+    list).  Reusing scratch never changes results — the workspace is
+    (re)initialised at every call. *)
 type scratch
 
 val scratch : unit -> scratch
@@ -56,15 +58,25 @@ val scratch : unit -> scratch
 
     [Fast] (the default) terminates each Dijkstra at the first settled
     deficit node, invalidates its distance/parent arrays in O(1) with
-    generation stamps, updates only the settled nodes' potentials, and
-    automatically swaps the binary heap for a monotone bucket queue when
-    the graph has no negative costs and a small cost bound
-    ({!Graph.cost_ub}).  The heap and bucket queue pop in the same
-    canonical (distance, node) order, so queue selection never affects
-    results.
+    generation stamps, and updates only the settled nodes' potentials.
+    Its queue is a binary min-heap of packed ints
+    [dist lsl node_bits lor node], where [node_bits] is the bit width of
+    the largest node id ([node_count - 1]); integer order on these keys
+    is the canonical (distance, node) order.  Its arc loop reads the
+    graph's arrays ({!Graph.arrays}) directly.
 
-    [Classic] is the historical full-settle implementation, retained as
-    the measured baseline for bench_reopt (docs/PERFORMANCE.md). *)
+    Precondition of [Fast]: every tentative distance pushed on the heap
+    satisfies [0 <= dist < 2^(62 - node_bits)].  Distances are sums of
+    reduced arc costs along a path, so this bounds the costs.  HIRE's
+    distances stay below [2^14] on the benchmark workloads (its scaled
+    arc costs top out at the [6 * cost_scale] sentinel), far inside the
+    bound.  A push that breaks it raises [Invalid_argument] instead of
+    silently mis-ordering the heap.
+
+    [Classic] is the historical full-settle implementation on
+    {!Prelude.Heap.Int_pair}, retained as test_reopt's Fast==Classic
+    oracle and the measured baseline of bench_reopt
+    (docs/PERFORMANCE.md). *)
 type algo = Classic | Fast
 
 (** [solve ?budget ?scratch ?algo g] computes a min-cost max-flow
@@ -88,8 +100,14 @@ val solve :
     demand node, and the amount carried. *)
 type path = { nodes : int list; amount : int }
 
-(** [decompose g] decomposes the current flow of [g] into source-to-sink
-    paths (cycles cannot occur in a min-cost solution with non-negative
-    reduced costs; any residual cycles of zero net cost are ignored).
-    The graph's flow is not modified. *)
-val decompose : Graph.t -> path list
+(** [decompose ?scratch g] decomposes the current flow of [g] into
+    source-to-sink paths.  Paths come out in a fixed order: sources by
+    node id, and at each node the first arc in adjacency order that still
+    carries undecomposed flow.  Cycles cannot occur in a min-cost
+    solution with non-negative reduced costs; flow on a cycle that no
+    walk enters is ignored.  The graph's flow is not modified.
+
+    [scratch] provides the reusable workspace (see {!scratch}); without
+    it, [decompose] allocates a fresh one.
+    @raise Invalid_argument if a walk enters a flow cycle. *)
+val decompose : ?scratch:scratch -> Graph.t -> path list

@@ -827,9 +827,9 @@ let solve_only ?(solver = Ssp) ?budget ?scratch t =
         profile = r.Flow.Cost_scaling.profile;
       }
 
-let extract t ~solver =
+let extract ?scratch t ~solver =
   let extract_t0 = if Obs.enabled () then Prelude.Clock.now () else 0.0 in
-  let paths = Mcmf.decompose t.b.g in
+  let paths = Mcmf.decompose ?scratch t.b.g in
   let placements = ref [] and flavor_picks = ref [] in
   List.iter
     (fun (p : Mcmf.path) ->
@@ -870,4 +870,4 @@ let extract t ~solver =
 
 let solve_and_extract ?solver ?budget ?scratch t =
   let solver = solve_only ?solver ?budget ?scratch t in
-  extract t ~solver
+  extract ?scratch t ~solver

@@ -135,13 +135,15 @@ val solve_only :
   t ->
   Flow.Mcmf.result
 
-(** [extract t ~solver] reads scheduling decisions off the flow
+(** [extract ?scratch t ~solver] reads scheduling decisions off the flow
     decomposition of [t]'s graph.  Nodes unknown to the network (e.g.
-    cost-scaling's virtual feasibility node) are skipped. *)
-val extract : t -> solver:Flow.Mcmf.result -> outcome
+    cost-scaling's virtual feasibility node) are skipped.  [scratch] is
+    forwarded to {!Flow.Mcmf.decompose}; reuse is exact. *)
+val extract : ?scratch:Flow.Mcmf.scratch -> t -> solver:Flow.Mcmf.result -> outcome
 
 (** Solve the MCMF instance and read scheduling decisions back off the
-    flow decomposition: [extract t ~solver:(solve_only ?solver ?budget t)]. *)
+    flow decomposition:
+    [extract ?scratch t ~solver:(solve_only ?solver ?budget ?scratch t)]. *)
 val solve_and_extract :
   ?solver:solver ->
   ?budget:Flow.Budget.t ->

@@ -33,7 +33,7 @@ type t = {
   mutable order : int list;  (* job ids, newest first; kept for determinism *)
   mutable solves : int;  (* lifetime solve attempts, drives guard sampling *)
   builder : Flow_network.builder option;  (* persistent network arena *)
-  scratch : Flow.Mcmf.scratch option;  (* persistent SSP workspace *)
+  scratch : Flow.Mcmf.scratch option;  (* persistent SSP + decompose workspace *)
 }
 
 let create ?(config = default_config) view =
@@ -273,7 +273,8 @@ let attempt_backend t ~jobs ~time ~params (r : resilience) ~backend ~trips =
   end
   else begin
     let guard_due = r.guard_every > 0 && t.solves mod r.guard_every = 0 in
-    if not guard_due then `Accept (Flow_network.extract net ~solver, solver, size)
+    if not guard_due then
+      `Accept (Flow_network.extract ?scratch:t.scratch net ~solver, solver, size)
     else begin
       if Obs.enabled () then
         Obs.Registry.incr (Obs.Registry.counter "hire.resilience.guard_checks");
@@ -287,7 +288,7 @@ let attempt_backend t ~jobs ~time ~params (r : resilience) ~backend ~trips =
         | Ok () ->
             (* Only a flow-valid graph is decomposed: extraction walks
                the flow, which a corrupted graph could send astray. *)
-            let outcome = Flow_network.extract net ~solver in
+            let outcome = Flow_network.extract ?scratch:t.scratch net ~solver in
             let resolved = resolve_for_guard t outcome.Flow_network.placements in
             Result.map (fun () -> outcome)
               (Guard.check_placements t.view ~params ~placements:resolved)

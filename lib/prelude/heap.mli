@@ -32,9 +32,10 @@ val to_list : 'a t -> 'a list
     Dijkstra runs never reallocates once warmed up.
 
     Ordering is the canonical lexicographic (key, value) order: among
-    equal keys the smaller value pops first.  {!Bucket_queue} pops in
-    the same order, so the MCMF solver can select either queue per
-    solve without perturbing tie-breaking.  There is deliberately no
+    equal keys the smaller value pops first.  The MCMF solver's [Fast]
+    path pops its packed [dist lsl node_bits lor node] keys in the same
+    order, so its [Classic] path, which runs on this heap, is an exact
+    tie-breaking oracle for it.  There is deliberately no
     decrease-key: Dijkstra pushes a new entry per improvement and skips
     stale ones at pop time, which keeps every operation O(log n) with
     zero bookkeeping. *)

@@ -1,133 +1,225 @@
-(* Tests for the re-optimizing solve path (docs/PERFORMANCE.md): the
-   monotone bucket queue's exact pop-order equivalence with the binary
-   heap (tie-heavy and word-boundary keys included), Fast-vs-Classic
-   solver agreement, and touched-arc flow-reset exactness.  The
+(* Tests for the re-optimizing solve path (docs/PERFORMANCE.md):
+   identity oracles for the Fast SSP kernel (packed-key heap over the
+   graph's arrays) and the cursor-based flow decomposition, each against
+   a frozen copy of the implementation it replaced, plus Fast-vs-Classic
+   solver agreement and touched-arc flow-reset exactness.  The
    end-to-end property that the persistent builder (with its sparse
    flow resets) matches a full rebuild lives in test_incremental. *)
 
 module Graph = Flow.Graph
 module Mcmf = Flow.Mcmf
 module Heap = Prelude.Heap
-module Bucket_queue = Prelude.Bucket_queue
+module Int_tbl = Prelude.Int_tbl
 module Rng = Prelude.Rng
 
 (* ------------------------------------------------------------------ *)
-(* Bucket queue vs binary heap                                         *)
+(* Reference: the Fast SSP on a Heap.Int_pair queue                    *)
 (* ------------------------------------------------------------------ *)
 
-let drain_heap h =
-  let acc = ref [] in
-  while not (Heap.Int_pair.is_empty h) do
-    let k = Heap.Int_pair.min_key h in
-    let v = Heap.Int_pair.pop h in
-    acc := (k, v) :: !acc
-  done;
-  List.rev !acc
+(* A frozen copy of the Fast SSP as it ran before the packed-key heap:
+   early-terminating Dijkstra over [Graph.iter_out] with a
+   [Heap.Int_pair] queue, generation stamps and settled-only potential
+   updates, unbudgeted.  The production kernel must augment along the
+   same paths, so it must leave the same flow on every arc. *)
+module Ref_ssp = struct
+  let infinity_dist = max_int / 4
 
-let drain_bucket q =
-  let acc = ref [] in
-  while not (Bucket_queue.is_empty q) do
-    let k = Bucket_queue.min_key q in
-    let v = Bucket_queue.pop q in
-    acc := (k, v) :: !acc
-  done;
-  List.rev !acc
-
-let test_pop_order_equivalence () =
-  let rng = Rng.create 42 in
-  let h = Heap.Int_pair.create () in
-  let q = Bucket_queue.create () in
-  for round = 1 to 20 do
-    Heap.Int_pair.clear h;
-    Bucket_queue.clear q;
-    let n = 50 + (round * 37) in
-    (* Tiny key range -> massive ties; distinct values so the expected
-       lexicographic order is unambiguous. *)
-    let key_range = if round mod 2 = 0 then 8 else 300 in
-    let entries =
-      List.init n (fun v -> (Rng.int_in rng 0 (key_range - 1), (v * 7919) mod 100003))
-    in
-    List.iter
-      (fun (k, v) ->
-        Heap.Int_pair.push h k v;
-        Bucket_queue.push q k v)
-      entries;
-    let from_heap = drain_heap h in
-    let from_bucket = drain_bucket q in
-    let expected =
-      List.sort
-        (fun (k1, v1) (k2, v2) ->
-          if k1 <> k2 then Int.compare k1 k2 else Int.compare v1 v2)
-        entries
-    in
-    Alcotest.(check bool) "heap pops canonical order" true (from_heap = expected);
-    Alcotest.(check bool) "bucket pops canonical order" true (from_bucket = expected)
-  done
-
-(* Regression for the occupancy bitset: keys on and across the 32-bit
-   word boundaries must neither vanish nor reorder. *)
-let test_word_boundary_keys () =
-  let q = Bucket_queue.create () in
-  let keys = [ 0; 30; 31; 32; 33; 62; 63; 64; 65; 95; 96; 127; 128; 1000 ] in
-  List.iteri (fun i k -> Bucket_queue.push q k i) keys;
-  Alcotest.(check int) "size counts all pushes" (List.length keys) (Bucket_queue.size q);
-  let drained = drain_bucket q in
-  let expected = List.sort compare (List.mapi (fun i k -> (k, i)) keys) in
-  Alcotest.(check bool) "word-boundary keys pop in order" true (drained = expected)
-
-(* Dijkstra-shaped interleaving: pops are monotone and pushes land at or
-   above the current front, across several generations of [clear]. *)
-let test_monotone_interleaving () =
-  let rng = Rng.create 7 in
-  let h = Heap.Int_pair.create () in
-  let q = Bucket_queue.create () in
-  for _gen = 1 to 5 do
-    Heap.Int_pair.clear h;
-    Bucket_queue.clear q;
-    for v = 0 to 9 do
-      Heap.Int_pair.push h 0 v;
-      Bucket_queue.push q 0 v
+  let spfa g excess =
+    let n = Graph.node_count g in
+    let dist = Array.make n infinity_dist in
+    let in_queue = Array.make n false in
+    let q = Queue.create () in
+    for v = 0 to n - 1 do
+      if excess.(v) > 0 then begin
+        dist.(v) <- 0;
+        Queue.push v q;
+        in_queue.(v) <- true
+      end
     done;
-    let steps = ref 400 in
-    while (not (Heap.Int_pair.is_empty h)) && !steps > 0 do
-      decr steps;
-      let hk = Heap.Int_pair.min_key h in
-      let qk = Bucket_queue.min_key q in
-      Alcotest.(check int) "same min key" hk qk;
-      let hv = Heap.Int_pair.pop h in
-      let qv = Bucket_queue.pop q in
-      Alcotest.(check int) "same popped value" hv qv;
-      (* Relax: push a few successors at key >= the popped key. *)
-      if Rng.bernoulli rng 0.6 then
-        for _ = 1 to Rng.int_in rng 1 3 do
-          let nk = hk + Rng.int_in rng 0 40 in
-          let nv = Rng.int_in rng 0 100000 in
-          Heap.Int_pair.push h nk nv;
-          Bucket_queue.push q nk nv
-        done
+    while not (Queue.is_empty q) do
+      let v = Queue.pop q in
+      in_queue.(v) <- false;
+      Graph.iter_out g v (fun a ->
+          if Graph.residual_cap g a > 0 then begin
+            let u = Graph.dst g a in
+            let nd = dist.(v) + Graph.cost g a in
+            if nd < dist.(u) then begin
+              dist.(u) <- nd;
+              if not in_queue.(u) then begin
+                Queue.push u q;
+                in_queue.(u) <- true
+              end
+            end
+          end)
     done;
-    Alcotest.(check bool) "drained together" (Heap.Int_pair.is_empty h)
-      (Bucket_queue.is_empty q)
-  done
+    dist
 
-let test_push_below_front_rejected () =
-  let q = Bucket_queue.create () in
-  Bucket_queue.push q 5 1;
-  ignore (Bucket_queue.pop q);
-  Bucket_queue.push q 9 2;
-  ignore (Bucket_queue.min_key q);
-  (* front is now 9; pushing behind it violates monotonicity *)
-  Alcotest.check_raises "push below front"
-    (Invalid_argument "Bucket_queue.push: key 3 below monotone front 9") (fun () ->
-      Bucket_queue.push q 3 7)
+  (* Returns (shipped, unshipped). *)
+  let solve g =
+    let n = Graph.node_count g in
+    let excess = Array.init n (Graph.supply g) in
+    let pot = Array.make n 0 in
+    if Graph.has_negative_cost g then begin
+      let bf = spfa g excess in
+      for v = 0 to n - 1 do
+        if bf.(v) < infinity_dist then pot.(v) <- bf.(v)
+      done
+    end;
+    let dist = Array.make n 0 and parent = Array.make n 0 and stamp = Array.make n 0 in
+    let settled = Array.make n 0 and n_settled = ref 0 in
+    let sources = Array.make n 0 and n_sources = ref 0 in
+    let h = Heap.Int_pair.create () in
+    let gen = ref 0 in
+    let remaining = ref 0 and shipped = ref 0 in
+    for v = 0 to n - 1 do
+      if excess.(v) > 0 then begin
+        remaining := !remaining + excess.(v);
+        sources.(!n_sources) <- v;
+        incr n_sources
+      end
+    done;
+    let dijkstra () =
+      Heap.Int_pair.clear h;
+      n_settled := 0;
+      let i = ref 0 in
+      while !i < !n_sources do
+        let v = sources.(!i) in
+        if excess.(v) > 0 then incr i
+        else begin
+          decr n_sources;
+          sources.(!i) <- sources.(!n_sources)
+        end
+      done;
+      for i = 0 to !n_sources - 1 do
+        let v = sources.(i) in
+        dist.(v) <- 0;
+        parent.(v) <- -1;
+        stamp.(v) <- !gen;
+        Heap.Int_pair.push h 0 v
+      done;
+      let target = ref (-1) in
+      while !target < 0 && not (Heap.Int_pair.is_empty h) do
+        let d = Heap.Int_pair.min_key h in
+        let v = Heap.Int_pair.pop h in
+        if d = dist.(v) && stamp.(v) = !gen then begin
+          settled.(!n_settled) <- v;
+          incr n_settled;
+          if excess.(v) < 0 then target := v
+          else
+            Graph.iter_out g v (fun a ->
+                if Graph.residual_cap g a > 0 then begin
+                  let u = Graph.dst g a in
+                  let rc = Graph.cost g a + pot.(v) - pot.(u) in
+                  let rc = if rc < 0 then 0 else rc in
+                  let nd = d + rc in
+                  if nd < (if stamp.(u) = !gen then dist.(u) else infinity_dist) then begin
+                    dist.(u) <- nd;
+                    parent.(u) <- a;
+                    stamp.(u) <- !gen;
+                    Heap.Int_pair.push h nd u
+                  end
+                end)
+        end
+      done;
+      !target
+    in
+    let continue_ = ref (!remaining > 0) in
+    while !continue_ do
+      incr gen;
+      let target = dijkstra () in
+      if target < 0 then continue_ := false
+      else begin
+        let d_target = dist.(target) in
+        let bottleneck = ref (-excess.(target)) in
+        let v = ref target in
+        while parent.(!v) >= 0 do
+          let a = parent.(!v) in
+          if Graph.residual_cap g a < !bottleneck then bottleneck := Graph.residual_cap g a;
+          v := Graph.src g a
+        done;
+        let source = !v in
+        if excess.(source) < !bottleneck then bottleneck := excess.(source);
+        let amount = !bottleneck in
+        let v = ref target in
+        while parent.(!v) >= 0 do
+          let a = parent.(!v) in
+          Graph.push g a amount;
+          v := Graph.src g a
+        done;
+        excess.(source) <- excess.(source) - amount;
+        excess.(target) <- excess.(target) + amount;
+        shipped := !shipped + amount;
+        remaining := !remaining - amount;
+        for i = 0 to !n_settled - 1 do
+          let u = settled.(i) in
+          pot.(u) <- pot.(u) + dist.(u) - d_target
+        done;
+        if !remaining = 0 then continue_ := false
+      end
+    done;
+    (!shipped, !remaining)
+end
+
+(* ------------------------------------------------------------------ *)
+(* Reference: the Int_tbl flow decomposition                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A frozen copy of [Mcmf.decompose] before the per-node adjacency
+   cursor: remaining flow in an [Int_tbl], every "next arc with flow"
+   query rescanning the node's adjacency list from its head. *)
+let ref_decompose g =
+  let n = Graph.node_count g in
+  let rem = Int_tbl.create 256 in
+  Graph.iter_arcs g (fun a ->
+      let f = Graph.flow g a in
+      if f > 0 then Int_tbl.replace rem a f);
+  let rem_supply = Array.init n (fun v -> max 0 (Graph.supply g v)) in
+  let rem_demand = Array.init n (fun v -> max 0 (-Graph.supply g v)) in
+  let out_with_flow v =
+    Graph.fold_out g v None (fun acc a ->
+        match acc with
+        | Some _ -> acc
+        | None ->
+            if Graph.is_forward a && Int_tbl.mem rem a && Int_tbl.find rem a > 0 then Some a
+            else None)
+  in
+  let paths = ref [] in
+  for source = 0 to n - 1 do
+    while rem_supply.(source) > 0 && out_with_flow source <> None do
+      let rec walk v acc_nodes acc_arcs bottleneck =
+        if rem_demand.(v) > 0 then
+          (List.rev (v :: acc_nodes), List.rev acc_arcs, min bottleneck rem_demand.(v))
+        else
+          match out_with_flow v with
+          | None -> (List.rev (v :: acc_nodes), List.rev acc_arcs, bottleneck)
+          | Some a ->
+              let f = Int_tbl.find rem a in
+              walk (Graph.dst g a) (v :: acc_nodes) (a :: acc_arcs) (min bottleneck f)
+      in
+      let nodes, arcs, bottleneck = walk source [] [] rem_supply.(source) in
+      if bottleneck <= 0 || arcs = [] then rem_supply.(source) <- 0
+      else begin
+        List.iter
+          (fun a ->
+            let f = Int_tbl.find rem a - bottleneck in
+            if f <= 0 then Int_tbl.remove rem a else Int_tbl.replace rem a f)
+          arcs;
+        let sink = List.nth nodes (List.length nodes - 1) in
+        rem_supply.(source) <- rem_supply.(source) - bottleneck;
+        rem_demand.(sink) <- max 0 (rem_demand.(sink) - bottleneck);
+        paths := { Mcmf.nodes; amount = bottleneck } :: !paths
+      end
+    done
+  done;
+  List.rev !paths
 
 (* ------------------------------------------------------------------ *)
 (* Fast vs Classic solver                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* Random balanced min-cost-flow instance.  [cost_lo] below 0 exercises
-   the SPFA bootstrap (and disables the bucket queue). *)
-let random_instance rng ~n ~extra_arcs ~cost_lo ~cost_hi =
+   the SPFA bootstrap. *)
+let random_instance ?(sinks = 1) ?(dag = false) rng ~n ~extra_arcs ~cost_lo ~cost_hi =
   let g = Graph.create () in
   let first = Graph.add_nodes g n in
   (* A random spanning chain keeps most of the supply routable. *)
@@ -142,8 +234,9 @@ let random_instance rng ~n ~extra_arcs ~cost_lo ~cost_hi =
     if a <> b then begin
       (* When negative costs are in play, keep every arc pointing
          forward along the chain: the graph stays a DAG, so no negative
-         cycle can form and the SPFA bootstrap terminates. *)
-      let src, dst = if cost_lo < 0 && a > b then (b, a) else (a, b) in
+         cycle can form and the SPFA bootstrap terminates.  A DAG also
+         rules out flow cycles, which decomposition rejects. *)
+      let src, dst = if (dag || cost_lo < 0) && a > b then (b, a) else (a, b) in
       ignore
         (Graph.add_arc g ~src ~dst
            ~cap:(Rng.int_in rng 1 8)
@@ -157,7 +250,14 @@ let random_instance rng ~n ~extra_arcs ~cost_lo ~cost_hi =
     Graph.add_supply g s amt;
     total := !total + amt
   done;
-  Graph.add_supply g (n - 1) (- !total);
+  (* The demand is split over the last [sinks] nodes, the remainder on
+     the last one. *)
+  let sinks = max 1 (min sinks (n / 2)) in
+  let share = !total / sinks in
+  for i = 1 to sinks - 1 do
+    Graph.add_supply g (n - 1 - i) (-share)
+  done;
+  Graph.add_supply g (n - 1) (-(!total - (share * (sinks - 1))));
   g
 
 (* A fresh, unsolved copy of [g] with the same node and arc ids. *)
@@ -189,32 +289,90 @@ let test_fast_equals_classic () =
     Alcotest.(check int) "same unshipped" rc.Mcmf.unshipped rf.Mcmf.unshipped
   done
 
-(* The bucket queue is auto-selected on small costs; adding one dead
-   (zero-capacity) very expensive arc pushes the cost envelope past the
-   selection bound and forces the binary heap, without affecting any
-   routable path.  The two solves must agree flow-for-flow — queue
-   selection is invisible, not just objective-preserving. *)
-let test_bucket_heap_flows_identical () =
-  let rng = Rng.create 23 in
-  for case = 1 to 25 do
-    let g_bucket =
-      random_instance rng ~n:(6 + (case mod 12)) ~extra_arcs:(2 * case mod 30)
-        ~cost_lo:0 ~cost_hi:9
-    in
-    let g_heap = clone g_bucket in
-    let dead =
-      Graph.add_arc g_heap ~src:0 ~dst:(Graph.node_count g_heap - 1) ~cap:0
-        ~cost:(1 lsl 20)
-    in
-    ignore dead;
-    Alcotest.(check bool) "envelope raised" true (Graph.cost_ub g_heap > 1 lsl 16);
-    let rb = Mcmf.solve g_bucket in
-    let rh = Mcmf.solve g_heap in
-    Alcotest.(check int) "same shipped" rh.Mcmf.shipped rb.Mcmf.shipped;
-    Alcotest.(check int) "same objective" rh.Mcmf.total_cost rb.Mcmf.total_cost;
-    Graph.iter_arcs g_bucket (fun a ->
-        Alcotest.(check int) "same per-arc flow" (Graph.flow g_heap a) (Graph.flow g_bucket a))
-  done
+(* Every property below shares one scratch across instances of
+   different sizes, so it also checks that a reused workspace (grown,
+   stamped, never cleared) is invisible in the results. *)
+let shared_scratch = Mcmf.scratch ()
+
+let same_flows g1 g2 =
+  let ok = ref true in
+  Graph.iter_arcs g1 (fun a -> if Graph.flow g1 a <> Graph.flow g2 a then ok := false);
+  !ok
+
+(* [cost_hi] of 1 or 2 makes nearly every path length tie, which is
+   where pop order decides the augmenting path. *)
+let matches_reference ~cost_lo ~cost_hi seed =
+  let rng = Rng.create seed in
+  let n = Rng.int_in rng 4 40 in
+  let g1 =
+    random_instance rng ~sinks:(Rng.int_in rng 1 3) ~n ~extra_arcs:(Rng.int_in rng 0 (3 * n))
+      ~cost_lo ~cost_hi
+  in
+  let g2 = clone g1 in
+  let shipped, unshipped = Ref_ssp.solve g1 in
+  let r = Mcmf.solve ~scratch:shared_scratch g2 in
+  r.Mcmf.shipped = shipped && r.Mcmf.unshipped = unshipped && same_flows g1 g2
+
+let prop_fast_matches_reference_ties =
+  QCheck.Test.make ~name:"fast kernel = heap SSP per arc, tie-heavy" ~count:200
+    QCheck.(pair (int_range 0 100_000) (int_range 1 2))
+    (fun (seed, cost_hi) -> matches_reference ~cost_lo:0 ~cost_hi seed)
+
+let prop_fast_matches_reference_negative =
+  QCheck.Test.make ~name:"fast kernel = heap SSP per arc, negative-cost DAGs" ~count:200
+    QCheck.(int_range 0 100_000)
+    (matches_reference ~cost_lo:(-6) ~cost_hi:6)
+
+let prop_decompose_matches_reference =
+  QCheck.Test.make ~name:"decompose = Int_tbl decompose, path for path" ~count:200
+    QCheck.(pair (int_range 0 100_000) (int_range 1 9))
+    (fun (seed, cost_hi) ->
+      let rng = Rng.create seed in
+      let n = Rng.int_in rng 4 40 in
+      let g =
+        random_instance rng ~sinks:(Rng.int_in rng 1 3) ~dag:true ~n
+          ~extra_arcs:(Rng.int_in rng 0 (3 * n)) ~cost_lo:0 ~cost_hi
+      in
+      ignore (Mcmf.solve g);
+      let expected = ref_decompose g in
+      Mcmf.decompose ~scratch:shared_scratch g = expected && Mcmf.decompose g = expected)
+
+(* Zero-cost arcs both ways round let a min-cost flow carry a cycle.
+   The reference decomposition loops forever once a walk enters one with
+   no demand on it; the cursor version must fail closed instead.  Here
+   the walk from node 0 reaches 1, and 1 <-> 2 carry flow with no demand
+   anywhere. *)
+let test_decompose_flow_cycle () =
+  let g = Graph.create () in
+  ignore (Graph.add_nodes g 3);
+  List.iter
+    (fun (src, dst) -> Graph.push g (Graph.add_arc g ~src ~dst ~cap:1 ~cost:0) 1)
+    [ (0, 1); (1, 2); (2, 1) ];
+  Graph.set_supply g 0 1;
+  match Mcmf.decompose g with
+  | _ -> Alcotest.fail "a walk around a flow cycle must be rejected"
+  | exception Invalid_argument _ -> ()
+
+(* The packed heap key is [dist lsl node_bits lor node]; a distance that
+   does not fit must raise rather than wrap into a wrong pop order.  With
+   8 nodes (ids 0..7, node_bits 3) the largest pushable distance is
+   2^59 - 1. *)
+let test_packed_key_overflow () =
+  let two_node_path cost =
+    let g = Graph.create () in
+    ignore (Graph.add_nodes g 8);
+    ignore (Graph.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost);
+    Graph.set_supply g 0 1;
+    Graph.set_supply g 1 (-1);
+    g
+  in
+  let limit = 1 lsl 59 in
+  let r = Mcmf.solve (two_node_path (limit - 1)) in
+  Alcotest.(check int) "largest fitting distance ships" 1 r.Mcmf.shipped;
+  Alcotest.(check int) "its cost" (limit - 1) r.Mcmf.total_cost;
+  match Mcmf.solve (two_node_path limit) with
+  | _ -> Alcotest.fail "a distance of 2^59 with 8 nodes must be rejected"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Touched-arc flow reset                                              *)
@@ -261,23 +419,18 @@ let test_spec_blob_roundtrip () =
     [ base; { base with incremental = false } ]
 
 let () =
+  let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "reopt"
     [
-      ( "bucket-queue",
-        [
-          Alcotest.test_case "pop order equals binary heap" `Quick
-            test_pop_order_equivalence;
-          Alcotest.test_case "word-boundary keys" `Quick test_word_boundary_keys;
-          Alcotest.test_case "monotone interleaving" `Quick test_monotone_interleaving;
-          Alcotest.test_case "push below front rejected" `Quick
-            test_push_below_front_rejected;
-        ] );
       ( "solver",
         [
           Alcotest.test_case "fast equals classic" `Quick test_fast_equals_classic;
-          Alcotest.test_case "bucket and heap flows identical" `Quick
-            test_bucket_heap_flows_identical;
-        ] );
+          Alcotest.test_case "packed key overflow rejected" `Quick test_packed_key_overflow;
+        ]
+        @ qt [ prop_fast_matches_reference_ties; prop_fast_matches_reference_negative ] );
+      ( "decompose",
+        Alcotest.test_case "flow cycle rejected" `Quick test_decompose_flow_cycle
+        :: qt [ prop_decompose_matches_reference ] );
       ( "graph",
         [ Alcotest.test_case "touched reset exact" `Quick test_reset_touched_exact ] );
       ( "end-to-end",
